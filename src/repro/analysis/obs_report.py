@@ -10,7 +10,10 @@ Three views over one journal file:
   chrome://tracing / https://ui.perfetto.dev (``repro-experiment obs
   trace``): one track per process (driver + each worker PID), complete
   ``"X"`` spans for chunks and trials, instant ``"i"`` events for cache
-  hits, fallbacks and snapshot-save errors.
+  hits, fallbacks, save errors and the cluster lifecycle.
+
+The event schema, the instant labels and the summary counters all come
+from one table, :data:`repro.runtime.progress.EVENT_FIELDS`.
 
 All timestamps in the journal are epoch seconds (the only clock
 comparable across processes); the trace converter rebases them onto the
@@ -24,6 +27,7 @@ import pathlib
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from ..runtime.obs import JOURNAL_SCHEMA_VERSION, PHASES
+from ..runtime.progress import EVENT_FIELDS, Event
 from ..sim.metrics import PhaseBreakdown
 
 __all__ = [
@@ -33,37 +37,6 @@ __all__ = [
     "render_obs_summary",
     "validate_journal",
 ]
-
-#: Required fields per journal event type (beyond the universal ``ts``).
-EVENT_FIELDS: Dict[str, Sequence[str]] = {
-    "journal": ("schema", "pid"),
-    "batch_meta": ("batch", "kind", "trials", "tag"),
-    "batch_start": ("batch", "total", "workers"),
-    "progress": ("done", "total"),
-    "cache_hit": ("trials",),
-    "fallback": ("reason",),
-    "partial_fallback": ("done", "total", "reason"),
-    "chunk_start": ("chunk", "trials"),
-    "chunk_done": ("chunk", "trials"),
-    "trial": ("chunk", "index", "stream"),
-    "snapshot_boundary": ("target", "seconds", "outcome"),
-    "snapshot_save_error": ("error",),
-    "batch_finish": ("done", "elapsed"),
-    # Cluster lifecycle (repro.runtime.cluster, docs/DISTRIBUTED.md).
-    "worker_connect": ("host", "pid"),
-    "worker_lost": ("host", "reason"),
-    "chunk_migrated": ("chunk", "from_host", "to_host"),
-    "steal": ("chunk", "from_host", "to_host"),
-    # Liveness + chaos harness (heartbeat monitor, fault injection).
-    "heartbeat_miss": ("host", "misses", "threshold"),
-    "fault_injected": ("host", "kind"),
-    # Service lifecycle (repro.service, docs/SERVICE.md).
-    "service_start": ("families", "size", "seed", "round"),
-    "estimate_served": ("families", "round", "staleness"),
-    "ingest_dropped": ("dropped", "queued"),
-    "snapshot_checkpoint": ("round", "path", "bytes", "seconds"),
-}
-
 
 def read_journal(
     path: Union[str, pathlib.Path]
@@ -109,7 +82,7 @@ def validate_journal(events: Sequence[Mapping[str, Any]]) -> List[str]:
         if kind not in EVENT_FIELDS:
             problems.append(f"line {pos}: unknown event type {kind!r}")
             continue
-        for field in EVENT_FIELDS[kind]:
+        for field in EVENT_FIELDS[kind].fields:
             if field not in event:
                 problems.append(f"line {pos}: {kind} event missing {field!r}")
         if kind == "journal" and event.get("schema") != JOURNAL_SCHEMA_VERSION:
@@ -128,6 +101,13 @@ def validate_journal(events: Sequence[Mapping[str, Any]]) -> List[str]:
 # ----------------------------------------------------------------------
 # Chrome trace-event export
 # ----------------------------------------------------------------------
+
+
+class _Fields(dict):
+    """Event fields for label templates; an absent field renders ``None``."""
+
+    def __missing__(self, key: str) -> None:
+        return None
 
 
 def _us(epoch: float, origin: float) -> int:
@@ -177,12 +157,16 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             )
         return pid
 
-    def instant(event: Mapping[str, Any], name: str, **args: Any) -> None:
+    def instant(event: Mapping[str, Any], spec: Event) -> None:
+        args = {}
+        for arg in spec.args or spec.fields:
+            name, _, field = arg.partition("=")
+            args[name] = event.get(field or name)
         trace.append(
             {
                 "ph": "i",
                 "s": "p",
-                "name": name,
+                "name": spec.instant.format_map(_Fields(event)),
                 "pid": driver_pid,
                 "tid": 0,
                 "ts": _us(float(event["ts"]), origin),
@@ -219,66 +203,6 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
                         "key": meta.get("key"),
                     },
                 }
-            )
-        elif kind == "cache_hit":
-            instant(event, "cache hit", trials=event.get("trials"))
-        elif kind == "fallback":
-            instant(event, "serial fallback", reason=event.get("reason"))
-        elif kind == "partial_fallback":
-            instant(
-                event,
-                "partial fallback",
-                done=event.get("done"),
-                total=event.get("total"),
-                reason=event.get("reason"),
-            )
-        elif kind == "snapshot_save_error":
-            instant(event, "snapshot save error", error=event.get("error"))
-        elif kind == "worker_connect":
-            instant(
-                event,
-                f"worker connect {event.get('host')}",
-                host=event.get("host"),
-                worker_pid=event.get("pid"),
-            )
-        elif kind == "worker_lost":
-            instant(
-                event,
-                f"worker lost {event.get('host')}",
-                host=event.get("host"),
-                reason=event.get("reason"),
-            )
-        elif kind == "chunk_migrated":
-            instant(
-                event,
-                f"chunk {event.get('chunk')} migrated",
-                chunk=event.get("chunk"),
-                from_host=event.get("from_host"),
-                to_host=event.get("to_host"),
-            )
-        elif kind == "steal":
-            instant(
-                event,
-                f"chunk {event.get('chunk')} stolen",
-                chunk=event.get("chunk"),
-                from_host=event.get("from_host"),
-                to_host=event.get("to_host"),
-            )
-        elif kind == "heartbeat_miss":
-            instant(
-                event,
-                f"heartbeat miss {event.get('host')}",
-                host=event.get("host"),
-                misses=event.get("misses"),
-                threshold=event.get("threshold"),
-            )
-        elif kind == "fault_injected":
-            instant(
-                event,
-                f"fault {event.get('kind')} on {event.get('host')}",
-                host=event.get("host"),
-                fault=event.get("kind"),
-                detail=event.get("detail"),
             )
         elif kind == "snapshot_boundary":
             seconds = float(event.get("seconds", 0.0))
@@ -333,6 +257,8 @@ def journal_to_trace(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
                     "args": {"phases": event.get("phases") or {}},
                 }
             )
+        elif kind in EVENT_FIELDS and EVENT_FIELDS[kind].instant is not None:
+            instant(event, EVENT_FIELDS[kind])
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
 
@@ -352,16 +278,15 @@ def _fmt_seconds(value: float) -> str:
 def render_obs_summary(events: Sequence[Mapping[str, Any]]) -> str:
     """ASCII phase-breakdown and runtime counters for a parsed journal."""
     breakdown = PhaseBreakdown()
-    batches = trials = chunks = cache_hits = fallbacks = partials = 0
-    save_errors = 0
+    counts: Dict[str, int] = {}
+    batches = trials = chunks = 0
     wall = 0.0
     boundary_counts: Dict[str, int] = {}
     workers: set = set()
     cluster_hosts: set = set()
-    lost_hosts = migrations = steals = 0
-    heartbeat_misses = faults_injected = 0
     for event in events:
         kind = event.get("event")
+        counts[kind] = counts.get(kind, 0) + 1
         if kind in ("chunk_done", "trial"):
             breakdown.add(event.get("phases") or {})
         if kind == "batch_finish":
@@ -372,69 +297,34 @@ def render_obs_summary(events: Sequence[Mapping[str, Any]]) -> str:
             chunks += 1
             if event.get("pid") is not None:
                 workers.add(event["pid"])
-        elif kind == "cache_hit":
-            cache_hits += 1
-        elif kind == "fallback":
-            fallbacks += 1
-        elif kind == "partial_fallback":
-            partials += 1
-        elif kind == "snapshot_save_error":
-            save_errors += 1
         elif kind == "snapshot_boundary":
             outcome = str(event.get("outcome"))
             boundary_counts[outcome] = boundary_counts.get(outcome, 0) + 1
         elif kind == "worker_connect":
             cluster_hosts.add(event.get("host"))
-        elif kind == "worker_lost":
-            lost_hosts += 1
-        elif kind == "chunk_migrated":
-            migrations += 1
-        elif kind == "steal":
-            steals += 1
-        elif kind == "heartbeat_miss":
-            heartbeat_misses += 1
-        elif kind == "fault_injected":
-            faults_injected += 1
 
+    bits: Dict[str, List[str]] = {
+        "runtime": [f"cache hits: {counts.get('cache_hit', 0)}"],
+        "cluster": [f"cluster hosts: {len(cluster_hosts)}"],
+    }
+    for kind, spec in EVENT_FIELDS.items():
+        if spec.counter is not None and counts.get(kind):
+            line, label = spec.counter
+            bits[line].append(f"{label}: {counts[kind]}")
+    if boundary_counts:
+        bits["runtime"].append(
+            "snapshot boundaries: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(boundary_counts.items()))
+        )
     lines: List[str] = []
     lines.append("run journal summary")
     lines.append(
         f"  batches: {batches}   trials: {trials}   chunks: {chunks}   "
         f"workers seen: {len(workers)}   wall: {_fmt_seconds(wall)}"
     )
-    counter_bits = [f"cache hits: {cache_hits}"]
-    if fallbacks:
-        counter_bits.append(f"serial fallbacks: {fallbacks}")
-    if partials:
-        counter_bits.append(f"partial fallbacks: {partials}")
-    if save_errors:
-        counter_bits.append(f"snapshot save errors: {save_errors}")
-    if boundary_counts:
-        counter_bits.append(
-            "snapshot boundaries: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(boundary_counts.items()))
-        )
-    lines.append("  " + "   ".join(counter_bits))
-    if (
-        cluster_hosts
-        or lost_hosts
-        or migrations
-        or steals
-        or heartbeat_misses
-        or faults_injected
-    ):
-        cluster_bits = [f"cluster hosts: {len(cluster_hosts)}"]
-        if lost_hosts:
-            cluster_bits.append(f"workers lost: {lost_hosts}")
-        if migrations:
-            cluster_bits.append(f"chunks migrated: {migrations}")
-        if steals:
-            cluster_bits.append(f"steals: {steals}")
-        if heartbeat_misses:
-            cluster_bits.append(f"heartbeat misses: {heartbeat_misses}")
-        if faults_injected:
-            cluster_bits.append(f"faults injected: {faults_injected}")
-        lines.append("  " + "   ".join(cluster_bits))
+    lines.append("  " + "   ".join(bits["runtime"]))
+    if cluster_hosts or len(bits["cluster"]) > 1:
+        lines.append("  " + "   ".join(bits["cluster"]))
     lines.append("")
     header = f"  {'phase':<12} {'total':>10} {'share':>7} {'spans':>7} {'mean':>10}"
     lines.append(header)

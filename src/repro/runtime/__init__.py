@@ -55,6 +55,7 @@ from .obs import (
 )
 from .pool import SnapshotBackbone, TrialExecutor, chunk_specs
 from .progress import (
+    EVENT_FIELDS,
     LogProgress,
     NullProgress,
     ProgressReporter,
@@ -119,6 +120,7 @@ __all__ = [
     "CheckReport",
     "ClusterExecutor",
     "DELAY_PRICINGS",
+    "EVENT_FIELDS",
     "EstimatorSpec",
     "FAULT_KINDS",
     "Fault",

@@ -229,19 +229,16 @@ def run_trials(
         # Spec identity for journals: which logical experiment the coming
         # events (including a possible cache hit) belong to.  Computed only
         # when someone is listening — the hashes cost a canonical-JSON pass.
-        meta: Dict[str, Any] = {
-            "kind": specs[0].kind,
-            "trials": len(specs),
-            "tag": tag or specs[0].kind,
-        }
-        if config is not None:
-            meta["key"] = content_key(config)
-            meta["group"] = group_key(config)
-        progress.on_batch_meta(meta)
+        address = (
+            {"key": content_key(config), "group": group_key(config)} if config is not None else {}
+        )
+        progress.emit(
+            "batch_meta", kind=specs[0].kind, trials=len(specs), tag=tag or specs[0].kind, **address
+        )
     if store is not None and config is not None and not force:
         cached = store.load(config)
         if cached is not None:
-            progress.on_cache_hit(len(cached))
+            progress.emit("cache_hit", trials=len(cached))
             return cached
 
     if runtime.hosts:

@@ -11,19 +11,20 @@ a test suite.  This module is the declarative half of the chaos harness
 :class:`WorkerFaults` knobs honoured by
 :class:`~repro.runtime.cluster.WorkerServer`.
 
-Every injected fault is reported through the normal
-:class:`~repro.runtime.progress.ProgressReporter` protocol as a
-``fault_injected`` event, so chaos-run journals record both the injected
-cause and the observed recovery (``heartbeat_miss``, ``worker_lost``,
+Every injected fault is emitted as a ``fault_injected`` event
+(:mod:`repro.runtime.progress`), so chaos-run journals record both the
+injected cause and the observed recovery (``heartbeat_miss``, ``worker_lost``,
 ``chunk_migrated``, ...) on one validated timeline — ``obs validate``
 gates them in CI exactly like production journals.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
 ``kill_worker``
-    The worker dies after serving ``after`` chunks: listener and every
-    open connection (including heartbeat sessions) close, and future
-    dials are refused — a process crash, observed from outside.
+    The worker dies as it finishes computing its ``after``-th chunk,
+    before that result is sent (``after=0``: as its first chunk arrives):
+    listener and every open connection (including heartbeat sessions)
+    close, and future dials are refused — a process crash mid-request,
+    observed from outside.
 ``stall_heartbeat``
     The worker stops answering pings after ``after`` pongs but keeps
     serving chunks — a partition of the control path only, which the
@@ -39,6 +40,12 @@ Fault kinds (:data:`FAULT_KINDS`):
     delayed by ``seconds``, or cut off mid-payload — wire-level faults
     the length-prefixed codec must surface as transport errors, never as
     corrupt results.
+
+Schedule-proof triggers: a worker carrying a kill or frame fault says so
+in its handshake (:attr:`WorkerFaults.pins_work`), and the driver never
+steals its queued chunks, so the counted chunks and frames reach it
+whatever the steal order.  The kill lands while a chunk is in flight, so
+the driver always observes the loss and migrates that chunk.
 
 Determinism contract: faults only ever change *where and when* chunks
 run, never what they compute — under every plan the batch's results must
@@ -74,7 +81,7 @@ FAULT_KINDS: Tuple[str, ...] = (
 
 #: Kinds whose ``after`` field is meaningful (a 0-based count or index).
 _COUNTED = {
-    "kill_worker": "chunks served",
+    "kill_worker": "chunks computed",
     "stall_heartbeat": "pongs answered",
     "refuse_connect": "connections accepted",
     "drop_frame": "result frame",
@@ -98,7 +105,7 @@ class Fault:
         Index of the target worker in the plan's host list (workers are
         anonymous until bound, so plans address them by position).
     after:
-        Kind-specific trigger count — chunks served before a kill, pongs
+        Kind-specific trigger count — chunks computed before a kill, pongs
         answered before a stall, the 0-based result-frame index for the
         frame faults (default 0: trigger at the first opportunity).
     seconds:
@@ -163,6 +170,15 @@ class WorkerFaults:
     stall_heartbeat_after: Optional[int] = None
     refuse_after_sessions: Optional[int] = None
     frame_faults: Tuple[FrameFault, ...] = ()
+
+    @property
+    def pins_work(self) -> bool:
+        """Whether the worker asks the driver not to steal its queued chunks.
+
+        Kill and frame faults count this host's chunks and result frames,
+        so they only fire if the host receives the chunks dealt to it.
+        """
+        return self.kill_after_chunks is not None or bool(self.frame_faults)
 
     def frame_fault_at(self, frame: int) -> Optional[FrameFault]:
         """The fault targeting result frame ``frame``, if any."""

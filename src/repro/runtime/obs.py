@@ -1,49 +1,23 @@
 """Structured observability for the trial runtime: phase profiling + journal.
 
-Two halves, deliberately decoupled so the hot path stays unaffected by the
-telemetry path (the progress/diagnostics split of the Mercury RPC runtime):
+Two halves, decoupled so the hot path stays unaffected by the telemetry
+path (the progress/diagnostics split of the Mercury RPC runtime):
 
-* **Worker side** — a :class:`PhaseAccumulator` installed by
-  :func:`~repro.runtime.trials.run_chunk` around every chunk.  Chunk
-  runners wrap their interesting sections in :func:`phase`, which
-  aggregates ``perf_counter`` deltas per phase name, either chunk-wide or
-  attributed to one ``(index, stream)`` trial.  The accumulated timings are
-  attached to each :class:`~repro.runtime.trials.TrialResult` as its
-  ``profile`` field and shipped back through the normal pickle channel —
-  no sockets, no files, no global state crossing process boundaries.
+* **Worker side** — :func:`~repro.runtime.trials.run_chunk` installs a
+  :class:`PhaseAccumulator` around every chunk; chunk runners wrap their
+  sections in :func:`phase`, which sums ``perf_counter`` deltas per phase,
+  chunk-wide or attributed to one ``(index, stream)`` trial.  The timings
+  ride back on each result's ``profile`` field through the normal pickle
+  channel — no sockets, files or global state cross process boundaries.
+* **Driver side** — :class:`JournalReporter` writes every event emitted
+  through :mod:`repro.runtime.progress` as one JSON object per line.  The
+  journal is append-only, so a crashed run leaves a readable prefix, and
+  each line carries epoch time, the only clock comparable across worker
+  processes.
 
-* **Driver side** — a :class:`JournalReporter`, a
-  :class:`~repro.runtime.progress.ProgressReporter` that serialises every
-  callback (batch → chunk → trial, snapshot-boundary resolutions, store
-  hits, fallbacks, and the cluster lifecycle of
-  :mod:`~repro.runtime.cluster` — worker connects/losses, chunk
-  migrations, steals) to one JSON object per line.  The journal is append-only
-  JSONL so a crashed run still leaves a readable prefix, and every line
-  carries a wall-clock timestamp so events from different worker processes
-  can be aligned on one timeline (worker ``perf_counter`` origins differ
-  per process; only epoch time is comparable across them).
-
-The journal file format is versioned (:data:`JOURNAL_SCHEMA_VERSION`) and
-documented in ``docs/OBSERVABILITY.md``; :mod:`repro.analysis.obs_report`
-consumes it for validation, ASCII summaries and Chrome trace-event export.
-
-Phase taxonomy (:data:`PHASES`):
-
-``boot``
-    Scenario or overlay construction from scratch (cold chunk).
-``restore``
-    Scenario state rebuilt from a hand-off snapshot (pipelined chunk).
-``churn``
-    Advancing the churn schedule / scenario between estimation points.
-``estimation``
-    Running an estimator (the paper's actual measurement).
-``kernel``
-    Vectorized kernel work inside an estimation on the array backend
-    (:mod:`repro.core.kernels`).  Recorded chunk-wide, *nested inside*
-    the trial-attributed ``estimation`` span — kernel seconds are a
-    subset of estimation seconds, not an additional cost.
-``serialize``
-    Capturing/encoding snapshot payloads for hand-off or the store.
+The format is versioned (:data:`JOURNAL_SCHEMA_VERSION`), documented with
+the phase taxonomy in ``docs/OBSERVABILITY.md`` and read back by
+:mod:`repro.analysis.obs_report`.
 
 Determinism: profiling only *observes* — it draws no randomness, mutates
 no scenario state, and the ``profile`` field is excluded from result
@@ -58,7 +32,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, Iterator, Optional, Sequence, Tuple, Union
 
 from .progress import ProgressReporter
 
@@ -74,15 +48,11 @@ __all__ = [
 #: Version stamped into every journal's header line.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: The closed set of phase names chunk runners may record.
-PHASES: Tuple[str, ...] = (
-    "boot",
-    "restore",
-    "churn",
-    "estimation",
-    "kernel",
-    "serialize",
-)
+#: The closed set of phase names chunk runners may record: ``boot`` (cold
+#: construction), ``restore`` (from a hand-off snapshot), ``churn``,
+#: ``estimation``, ``kernel`` (array-backend kernel work, nested inside and a
+#: subset of ``estimation``) and ``serialize`` (snapshot capture/encoding).
+PHASES: Tuple[str, ...] = ("boot", "restore", "churn", "estimation", "kernel", "serialize")
 
 
 class PhaseAccumulator:
@@ -118,9 +88,7 @@ class PhaseAccumulator:
             if key is None:
                 self.chunk_phases[name] = self.chunk_phases.get(name, 0.0) + delta
             else:
-                trial = self.trials.setdefault(
-                    key, {"started": begin - self._t0, "phases": {}}
-                )
+                trial = self.trials.setdefault(key, {"started": begin - self._t0, "phases": {}})
                 trial["phases"][name] = trial["phases"].get(name, 0.0) + delta
                 trial["elapsed"] = end - self._t0 - trial["started"]
 
@@ -168,7 +136,7 @@ def phase(name: str, key: Optional[Tuple[int, int]] = None) -> Iterator[None]:
 
 
 class JournalReporter(ProgressReporter):
-    """Serialise every runtime event to an append-only JSONL run journal.
+    """Serialise every emitted event to an append-only JSONL run journal.
 
     Parameters
     ----------
@@ -179,10 +147,12 @@ class JournalReporter(ProgressReporter):
         Timestamp source; injectable for deterministic tests.
 
     Every line is one JSON object with at least ``ts`` (epoch seconds) and
-    ``event``.  The first line written by each reporter is a ``journal``
-    header carrying the schema version and the driver PID.  Events between
-    a ``batch_meta``/``batch_start`` and the matching ``batch_finish`` (or
-    ``cache_hit``) share a ``batch`` sequence number.
+    ``event``, followed by the emitted fields in call order.  The first
+    line written by each reporter is a ``journal`` header carrying the
+    schema version and the driver PID.  A ``batch_meta`` or ``batch_start``
+    opens a batch scope and a ``cache_hit`` or ``batch_finish`` closes it;
+    events inside share a ``batch`` sequence number.  ``chunk_done``
+    expands into the chunk line plus one ``trial`` line per result.
     """
 
     def __init__(
@@ -207,17 +177,63 @@ class JournalReporter(ProgressReporter):
         self._emit("journal", schema=JOURNAL_SCHEMA_VERSION, pid=os.getpid())
 
     def _emit(self, event: str, **data: Any) -> None:
+        """Write one journal line."""
         with self._write_lock:
             record: Dict[str, Any] = {"ts": float(self._clock()), "event": event}
-            if self._in_batch or event in ("batch_meta", "batch_start"):
+            if self._in_batch:
                 record["batch"] = self._batch
             record.update(data)
             self._stream.write(json.dumps(record, sort_keys=False) + "\n")
             self._stream.flush()
 
-    def _next_batch(self) -> None:
-        self._batch += 1
-        self._in_batch = True
+    def emit(self, event: str, **fields: Any) -> None:
+        """Journal one event, maintaining the batch scope."""
+        if event == "batch_meta" or (
+            event in ("batch_start", "cache_hit") and not self._in_batch
+        ):
+            self._batch += 1
+            self._in_batch = True
+        if event == "chunk_done":
+            self._chunk_done(**fields)
+        else:
+            self._emit(event, **fields)
+        if event in ("cache_hit", "batch_finish"):
+            self._in_batch = False
+
+    def _chunk_done(self, chunk: int, trials: int, results: Sequence[Any]) -> None:
+        """The chunk line plus one ``trial`` line per result.
+
+        Worker-side profiles (pid, epoch start, phase timings) are folded
+        in when present; trial start offsets are rebased onto the worker's
+        epoch start so all journal timestamps share one timeline.
+        """
+        profiles = [getattr(result, "profile", None) or {} for result in results]
+        summary = next((p["chunk"] for p in profiles if "chunk" in p), {})
+        pid, chunk_started = summary.get("pid"), summary.get("started")
+        self._emit(
+            "chunk_done",
+            chunk=chunk,
+            trials=trials,
+            pid=pid,
+            started=chunk_started,
+            elapsed=summary.get("elapsed"),
+            phases=summary.get("phases") or {},
+        )
+        for result, profile in zip(results, profiles):
+            started = profile.get("started")
+            if started is not None and chunk_started is not None:
+                started = chunk_started + started
+            self._emit(
+                "trial",
+                chunk=chunk,
+                index=getattr(result, "index", None),
+                stream=getattr(result, "stream", 0),
+                ok=getattr(result, "ok", True),
+                pid=pid,
+                started=started,
+                elapsed=profile.get("elapsed"),
+                phases=profile.get("phases") or {},
+            )
 
     def close(self) -> None:
         """Close the underlying file if this reporter opened it."""
@@ -229,144 +245,3 @@ class JournalReporter(ProgressReporter):
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # -- ProgressReporter callbacks ----------------------------------------
-
-    def on_batch_meta(self, meta: Mapping[str, Any]) -> None:
-        """Open a new batch scope and journal its spec identity."""
-        self._next_batch()
-        self._emit("batch_meta", **dict(meta))
-
-    def on_start(self, total: int, workers: int) -> None:
-        """Journal the start of batch execution."""
-        if not self._in_batch:
-            self._next_batch()
-        self._emit("batch_start", total=total, workers=workers)
-
-    def on_progress(self, done: int, total: int) -> None:
-        """Journal a completed-trials progress tick."""
-        self._emit("progress", done=done, total=total)
-
-    def on_cache_hit(self, total: int) -> None:
-        """Journal a whole-batch store hit and close the batch scope."""
-        if not self._in_batch:
-            self._next_batch()
-        self._emit("cache_hit", trials=total)
-        self._in_batch = False
-
-    def on_fallback(self, reason: str) -> None:
-        """Journal a whole-batch serial fallback."""
-        self._emit("fallback", reason=reason)
-
-    def on_partial_fallback(self, done: int, total: int, reason: str) -> None:
-        """Journal a mid-batch pool failure with the surviving trial count."""
-        self._emit("partial_fallback", done=done, total=total, reason=reason)
-
-    def on_finish(self, done: int, elapsed: float) -> None:
-        """Journal batch completion and close the batch scope."""
-        self._emit("batch_finish", done=done, elapsed=elapsed)
-        self._in_batch = False
-
-    def on_chunk_start(self, chunk: int, trials: int, boundary: Optional[int] = None) -> None:
-        """Journal a chunk submission (with its snapshot boundary, if any)."""
-        self._emit("chunk_start", chunk=chunk, trials=trials, boundary=boundary)
-
-    def on_chunk_done(self, chunk: int, results: Sequence[Any]) -> None:
-        """Journal chunk completion plus one ``trial`` line per result.
-
-        Worker-side profiles (pid, epoch start, phase timings) are folded
-        in when present; trial start offsets are rebased onto the worker's
-        epoch start so all journal timestamps share one timeline.
-        """
-        summary: Dict[str, Any] = {}
-        for result in results:
-            profile = getattr(result, "profile", None) or {}
-            if "chunk" in profile:
-                summary = profile["chunk"]
-                break
-        self._emit(
-            "chunk_done",
-            chunk=chunk,
-            trials=len(results),
-            pid=summary.get("pid"),
-            started=summary.get("started"),
-            elapsed=summary.get("elapsed"),
-            phases=summary.get("phases") or {},
-        )
-        chunk_started = summary.get("started")
-        for result in results:
-            profile = getattr(result, "profile", None) or {}
-            started = profile.get("started")
-            if started is not None and chunk_started is not None:
-                started = chunk_started + started
-            self._emit(
-                "trial",
-                chunk=chunk,
-                index=getattr(result, "index", None),
-                stream=getattr(result, "stream", 0),
-                ok=getattr(result, "ok", True),
-                pid=summary.get("pid"),
-                started=started,
-                elapsed=profile.get("elapsed"),
-                phases=profile.get("phases") or {},
-            )
-
-    def on_snapshot_boundary(self, target: int, seconds: float, outcome: str) -> None:
-        """Journal a snapshot-backbone boundary resolution."""
-        self._emit("snapshot_boundary", target=target, seconds=seconds, outcome=outcome)
-
-    def on_snapshot_save_error(self, error: str) -> None:
-        """Journal a failed best-effort snapshot save."""
-        self._emit("snapshot_save_error", error=error)
-
-    # -- cluster events (repro.runtime.cluster) ----------------------------
-
-    def on_worker_connect(self, host: str, pid: int) -> None:
-        """Journal a completed cluster-worker handshake."""
-        self._emit("worker_connect", host=host, pid=pid)
-
-    def on_worker_lost(self, host: str, reason: str) -> None:
-        """Journal a cluster worker declared dead after exhausted retries."""
-        self._emit("worker_lost", host=host, reason=reason)
-
-    def on_chunk_migrated(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Journal a chunk migrating off a dead host with its snapshot."""
-        self._emit("chunk_migrated", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_steal(self, chunk: int, from_host: str, to_host: str) -> None:
-        """Journal an idle host stealing a queued chunk from a busy peer."""
-        self._emit("steal", chunk=chunk, from_host=from_host, to_host=to_host)
-
-    def on_heartbeat_miss(self, host: str, misses: int, threshold: int) -> None:
-        """Journal a missed liveness ping (consecutive count vs threshold)."""
-        self._emit("heartbeat_miss", host=host, misses=misses, threshold=threshold)
-
-    def on_fault_injected(self, host: str, kind: str, detail: str) -> None:
-        """Journal a chaos-harness fault firing on a worker."""
-        self._emit("fault_injected", host=host, kind=kind, detail=detail)
-
-    # -- service events (repro.service) -------------------------------------
-
-    def on_service_start(self, meta: Mapping[str, Any]) -> None:
-        """Journal an estimation-service boot or checkpoint restore."""
-        self._emit("service_start", **dict(meta))
-
-    def on_estimate_served(
-        self, families: Sequence[str], round: int, staleness: Optional[int]
-    ) -> None:
-        """Journal an admitted estimate read with its worst staleness."""
-        self._emit(
-            "estimate_served", families=list(families), round=round, staleness=staleness
-        )
-
-    def on_ingest_dropped(self, dropped: int, queued: int) -> None:
-        """Journal ingest load-shedding (events dropped, queue depth)."""
-        self._emit("ingest_dropped", dropped=dropped, queued=queued)
-
-    def on_snapshot_checkpoint(
-        self, round: int, path: str, bytes: int, seconds: float
-    ) -> None:
-        """Journal a service checkpoint write (size and duration)."""
-        self._emit(
-            "snapshot_checkpoint", round=round, path=path, bytes=bytes, seconds=seconds
-        )

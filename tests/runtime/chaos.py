@@ -37,11 +37,12 @@ class TimedTelemetry(TelemetryCollector):
     Chaos tests reason about *when* recovery happened relative to the
     injected cause (e.g. the heartbeat detection bound), which the plain
     collector cannot answer.  The stamp is stored under ``"at"`` — no
-    progress callback uses that field name.
+    schema event uses that field name.
     """
 
-    def _record(self, event: str, **data: Any) -> None:
-        super()._record(event, at=time.monotonic(), **data)
+    def emit(self, event: str, **fields: Any) -> None:
+        """Record the event stamped with ``time.monotonic()``."""
+        super().emit(event, at=time.monotonic(), **fields)
 
     def at(self, kind: str) -> Optional[float]:
         """Monotonic stamp of the first event of ``kind`` (None if absent)."""

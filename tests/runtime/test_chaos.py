@@ -24,10 +24,12 @@ from repro.runtime import (
     WorkerServer,
     run_chunk,
 )
+from repro.runtime.cluster import _WorkerSession
 from repro.runtime.faults import (
     FAULT_KINDS,
     Fault,
     FaultPlan,
+    FrameFault,
     WorkerFaults,
     chaos_matrix,
 )
@@ -113,6 +115,71 @@ class TestFaultPlans:
             assert kind in fault.describe()
 
 
+class TestScheduleProofFaults:
+    """Planned faults fire whatever order idle hosts steal work in."""
+
+    @pytest.mark.parametrize("after", [0, 1, 2])
+    def test_planned_kill_fires_without_a_later_chunk(self, after):
+        # The host gets exactly the chunks the count needs and nothing
+        # after them, as when a peer stole the rest of its queue: the kill
+        # must still land, while the counted chunk is in flight.
+        plan = FaultPlan(seed=1, events=(Fault("kill_worker", host=0, after=after),))
+        telemetry = TelemetryCollector()
+        server = WorkerServer(faults=plan.worker_faults(0), progress=telemetry)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            session = _WorkerSession.connect(server.address, 5.0)
+            assert session.pinned
+            replies = []
+            for chunk, spec in enumerate(_specs(count=max(after, 1))):
+                message = {"type": "chunk", "chunk": chunk, "specs": [spec], "snapshot": None}
+                try:
+                    replies.append(session.request(message))
+                except (EOFError, OSError):
+                    break
+            session.close()
+            assert [e["kind"] for e in telemetry.events] == ["kill_worker"]
+            assert len(replies) == max(after - 1, 0)
+            with pytest.raises(OSError):
+                _WorkerSession.connect(server.address, 1.0)
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+
+    def test_counted_faults_pin_the_host_against_steals(self):
+        assert WorkerFaults(kill_after_chunks=3).pins_work
+        assert WorkerFaults(frame_faults=(FrameFault(2, "drop"),)).pins_work
+        assert not WorkerFaults(slow_seconds=0.1).pins_work
+        assert not WorkerFaults(stall_heartbeat_after=1).pins_work
+        # A straggler that carries a (never-reached) frame fault keeps its
+        # queue: the idle fast host waits instead of stealing, so every
+        # counted frame still reaches the faulty host.
+        specs = _specs(count=16)
+        serial = run_chunk(list(specs))
+        faults = WorkerFaults(slow_seconds=0.05, frame_faults=(FrameFault(99, "drop"),))
+        servers = [WorkerServer(faults=faults), WorkerServer()]
+        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+        for thread in threads:
+            thread.start()
+        try:
+            telemetry = TelemetryCollector()
+            executor = ClusterExecutor(
+                [s.address for s in servers],
+                chunk_size=2,
+                progress=telemetry,
+                heartbeat_interval=0,
+            )
+            results = executor.run(list(specs))
+        finally:
+            for server in servers:
+                server.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        assert chaos.results_key(results) == chaos.results_key(serial)
+        assert telemetry.count("steal") == 0
+
+
 class TestChaosMatrix:
     @pytest.mark.parametrize("hosts", [2, 3])
     @pytest.mark.parametrize("name", sorted(chaos_matrix(slow_seconds=0.1)))
@@ -196,7 +263,7 @@ class TestHeartbeatDetectionBound:
         bound = misses * max(interval, 0.02)
         assert detected - stalled <= bound + 0.6
         kinds = [e["event"] for e in run.telemetry.events]
-        assert kinds.index("worker_lost") < kinds.index("finish")
+        assert kinds.index("worker_lost") < kinds.index("batch_finish")
 
 
 class TestChunkSizeAdaptation:
@@ -235,7 +302,7 @@ class TestChunkSizeAdaptation:
     def test_executor_reuse_adapts_and_stays_bit_exact(self):
         specs = _specs(count=16)
         serial = run_chunk(list(specs))
-        slow = WorkerServer(delay=0.3)
+        slow = WorkerServer(faults=WorkerFaults(slow_seconds=0.3))
         fast = WorkerServer()
         servers = [slow, fast]
         threads = [

@@ -106,19 +106,8 @@ GOLDEN_LOG = """\
 
 
 def _drive(reporter):
-    hooks = {
-        "batch_meta": lambda f: reporter.on_batch_meta(f),
-        "batch_start": lambda f: reporter.on_start(f["total"], f["workers"]),
-        "batch_finish": lambda f: reporter.on_finish(f["done"], f["elapsed"]),
-        "cache_hit": lambda f: reporter.on_cache_hit(f["trials"]),
-        "chunk_done": lambda f: reporter.on_chunk_done(f["chunk"], f["results"]),
-        "service_start": lambda f: reporter.on_service_start(f),
-    }
     for event, fields in EVENTS:
-        if event in hooks:
-            hooks[event](dict(fields))
-        else:
-            getattr(reporter, f"on_{event}")(**fields)
+        reporter.emit(event, **fields)
 
 
 def _journal_text(monkeypatch):
