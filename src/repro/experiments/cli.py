@@ -61,7 +61,7 @@ Spread a run across machines: start a worker per host, then point a
 driver at them with ``--hosts`` (or ``$REPRO_HOSTS``).  Results are
 bit-identical to serial at any host count, and a dead host's chunks
 migrate to the survivors (see docs/DISTRIBUTED.md; the transport is
-trusted-network-only)::
+unauthenticated, so keep workers on a private network)::
 
     repro-experiment worker serve --bind 0.0.0.0:7700          # on each host
     repro-experiment run fig11 --hosts hostA:7700,hostB:7700 --journal run.jsonl
@@ -74,9 +74,6 @@ harnesses binding port 0 can scrape the chosen port::
 
     repro-experiment serve --bind 127.0.0.1:0 --estimators sample_collide,aggregation \
         --snapshot svc.json --snapshot-every 50 --max-qps 100 --journal svc.jsonl
-
-``repro-experiment fig1`` (the pre-subcommand form) still works: a bare
-target is rewritten to ``run <target>`` for backwards compatibility.
 """
 
 from __future__ import annotations
@@ -241,7 +238,7 @@ def _add_run_parser(subparsers) -> None:
             "'worker serve'; trial chunks fan out over sockets instead of "
             "a local process pool, with work-stealing and dead-host chunk "
             "migration — results are bit-identical to serial at any host "
-            "count (see docs/DISTRIBUTED.md; trusted networks only)"
+            "count (see docs/DISTRIBUTED.md)"
         ),
     )
     run.add_argument(
@@ -280,16 +277,6 @@ def _add_run_parser(subparsers) -> None:
         "--force",
         action="store_true",
         help="recompute even when the cache holds the experiment (and refresh it)",
-    )
-    run.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help=(
-            "disable scheduler-snapshot hand-off for churn-replay "
-            "experiments and replay each chunk's churn prefix from t=0 "
-            "instead (slower at paper scale; results are bit-identical "
-            "either way — see docs/SNAPSHOTS.md)"
-        ),
     )
     run.add_argument(
         "--graph-backend",
@@ -592,8 +579,9 @@ def _add_worker_parser(subparsers) -> None:
             "Cluster worker lifecycle.  A worker accepts driver "
             "connections from 'run --hosts' and executes trial chunks "
             "shipped over the socket transport (docs/DISTRIBUTED.md).  "
-            "The transport pickles payloads without authentication: bind "
-            "to loopback or a trusted network only."
+            "Frames are JSON data, never code, but the transport is "
+            "unauthenticated: bind to loopback or a private network.  "
+            "Drivers and workers must run the same release (protocol v3)."
         ),
     )
     sub = worker.add_subparsers(dest="worker_command", required=True)
@@ -765,7 +753,6 @@ def _runtime_options(
         force=args.force,
         progress=progress,
         tag=tag,
-        snapshots=not getattr(args, "no_snapshot", False),
         graph_backend=getattr(args, "graph_backend", "dict"),
         hosts=getattr(args, "hosts", None),
         heartbeat_interval=getattr(args, "heartbeat_interval", 2.0),
@@ -1252,25 +1239,8 @@ def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-#: Bare targets accepted for backwards compatibility with the
-#: pre-subcommand CLI (``repro-experiment fig1``).
-_LEGACY_TARGETS = frozenset(FIGURES) | frozenset(TABLES) | {"all"}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # The pre-subcommand parser accepted optionals before the target
-    # ("--scale small fig1"), so rewrite whenever a bare target appears
-    # and the leading token is not already a subcommand.  Only the first
-    # token can be the subcommand, so later arguments that merely *equal* a
-    # subcommand name ("--csv-dir cache") must not suppress the rewrite.
-    if (
-        argv
-        and argv[0] not in ("run", "list", "cache", "trends", "obs", "worker", "serve")
-        and any(a in _LEGACY_TARGETS for a in argv)
-    ):
-        argv = ["run"] + argv
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":

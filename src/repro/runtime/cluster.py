@@ -11,32 +11,24 @@ failures — can never change what a batch computes, only where.
 
 Transport
 ---------
-The wire format follows the lightweight self-describing RPC approach of
-the Mercury extreme-scale RPC design rather than a heavyweight framework:
-each message is one pickled dict behind an 8-byte big-endian length
-prefix (:func:`send_message` / :func:`recv_message`).  A worker is just
-``repro-experiment worker serve --bind HOST:PORT`` — it accepts
-connections, answers a version handshake, and then runs
-:func:`~repro.runtime.trials.run_chunk` on every ``chunk`` message it
-receives, returning the pickled results.  Workers are stateless between
-chunks: everything a chunk needs (specs + optional boundary snapshot)
-travels in the message, which is what makes migration trivial.
+Every message is one JSON frame of :mod:`repro.runtime.wire`
+(:func:`send_message` / :func:`recv_message`).  A worker is just
+``repro-experiment worker serve --bind HOST:PORT`` — it answers a
+handshake, then runs :func:`~repro.runtime.trials.run_chunk` on every
+``chunk`` message and replies with the results.  Workers are stateless
+between chunks: the specs (``as_config`` dicts) and the optional
+boundary snapshot travel in the message, which makes migration trivial.
 
-The handshake negotiates a protocol version: the driver offers
-:data:`PROTOCOL_VERSION`, the worker answers with
-``min(offered, PROTOCOL_VERSION)`` as long as the offer is at least
-:data:`MIN_PROTOCOL_VERSION`, and a driver whose offer is rejected
-outright re-dials with the floor version — so new drivers interoperate
-with old v1 workers (and vice versa) without flags.  Version 2 adds a
-second session role: a ``hello`` carrying ``role="heartbeat"`` opens a
-control-path session that answers ``ping`` frames with ``pong`` instead
-of running chunks.
+The handshake checks one :data:`PROTOCOL_VERSION`; a ``hello`` carrying
+any other is answered with an ``error`` frame and the driver fails the
+batch at once.  A ``hello`` with ``role="heartbeat"`` opens a session
+that answers ``ping`` frames with ``pong`` instead of running chunks.
 
 .. warning::
-   The transport pickles and unpickles arbitrary payloads and performs no
-   authentication: it is **trusted-network-only** (bind workers to
-   loopback or a private cluster fabric, never a public interface).  See
-   ``docs/DISTRIBUTED.md``.
+   The transport is unauthenticated and unencrypted: bind workers to
+   loopback or a private cluster fabric.  Frames are pure data, so a
+   hostile peer can waste a worker's time but cannot make it execute
+   code.  See ``docs/DISTRIBUTED.md``.
 
 Liveness
 --------
@@ -44,15 +36,14 @@ Treating liveness as a request side-effect leaves a silent-failure
 window: a worker that dies while *idle* is never declared lost until the
 batch drains, and one blocked dispatch can pin a chunk to a dead host
 indefinitely.  The driver therefore runs one heartbeat monitor thread per
-host (protocol v2 and up): every ``heartbeat_interval`` seconds it pings
-the worker over a dedicated heartbeat session and counts consecutive
-misses (timeout, refused connection, or transport error).  Each miss is
-reported as ``heartbeat_miss``; at ``heartbeat_misses`` consecutive
-misses the host is declared lost through exactly the same path as a
-dispatch failure — so loss is detected within roughly
+host: every ``heartbeat_interval`` seconds it pings the worker over a
+dedicated heartbeat session and counts consecutive misses (timeout,
+refused connection, or transport error).  Each miss is reported as
+``heartbeat_miss``; at ``heartbeat_misses`` consecutive misses the host
+is declared lost through exactly the same path as a dispatch failure —
+so loss is detected within roughly
 ``heartbeat_interval × heartbeat_misses`` seconds no matter what the
-dispatch threads are doing.  Legacy v1 workers simply run without a
-monitor (detection falls back to dispatch errors, the pre-v2 behaviour).
+dispatch threads are doing.
 
 Scheduling
 ----------
@@ -64,11 +55,12 @@ per-host queues — round-robin by default, or proportionally to observed
 per-trial latency once an executor has served a batch to every host
 (per-host chunk-size adaptation; see :meth:`ClusterExecutor._plan`).  One
 driver thread per host drains its own queue and, when idle, **steals from
-the tail** of the longest live queue (``steal`` event).  A connection
-failure is retried with exponential backoff; once retries are exhausted
-— or the heartbeat monitor gives up first — the host is declared lost
-(``worker_lost``) and its queued + in-flight chunks **migrate** — each
-with its retained boundary snapshot — to the surviving hosts
+the tail** of the longest live queue (``steal`` event) — never from a host
+whose handshake has not completed yet or whose welcome pinned it.  A
+connection failure is retried with exponential backoff; once retries are
+exhausted — or the heartbeat monitor gives up first — the host is declared
+lost (``worker_lost``) and its queued + in-flight chunks **migrate** —
+each with its retained boundary snapshot — to the surviving hosts
 (``chunk_migrated``).  If every host dies, the remaining chunks re-run
 serially in the driver (``partial_fallback``), keeping completed chunks.
 All of these events go through the one ``progress.emit`` pipeline
@@ -90,24 +82,22 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import socket
-import struct
 import threading
 import time
 import traceback
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import wire
 from .faults import WorkerFaults
-from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, chunk_specs
+from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, TrialExecutor, chunk_specs
 from .progress import NullProgress, ProgressReporter
 from .snapshots import SNAPSHOT_KINDS
 from .trials import TrialResult, TrialSpec, run_chunk
 
 __all__ = [
     "ClusterExecutor",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "WorkerServer",
     "parse_hosts",
@@ -115,65 +105,38 @@ __all__ = [
     "send_message",
 ]
 
-#: Version the driver offers in the hello; the worker answers with
-#: ``min(offered, PROTOCOL_VERSION)``.  v2 added the heartbeat session
-#: role (ping/pong liveness probes).
-PROTOCOL_VERSION = 2
-
-#: Oldest version either side still speaks.  Offers below this floor (or
-#: non-integer versions) fail the connection immediately rather than
-#: mis-deserializing mid-batch.
-MIN_PROTOCOL_VERSION = 1
-
-#: 8-byte big-endian unsigned length prefix framing every message.
-_HEADER = struct.Struct(">Q")
-
-#: Upper bound on a single framed message — far above any real chunk
-#: (specs + a ~1MB snapshot), low enough to reject garbage prefixes from
-#: a confused peer before attempting a giant allocation.
-MAX_MESSAGE_BYTES = 1 << 31
+#: The only version either side speaks; a hello carrying any other is
+#: refused.  v3 is the first with JSON frames (:mod:`repro.runtime.wire`).
+PROTOCOL_VERSION = 3
 
 
 # ----------------------------------------------------------------------
 # Wire protocol
 # ----------------------------------------------------------------------
 
+# The cluster's own entry points into the codec.  The service binds a
+# separate pair with its request-size limit, so per-transport frame
+# accounting (perfbench/tracing.py) can tell the two apart.
+
 
 def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
-    """Frame and send one message: 8-byte length prefix + pickled dict."""
-    payload = pickle.dumps(dict(message), protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = size
-    while remaining > 0:
-        part = sock.recv(min(remaining, 1 << 20))
-        if not part:
-            raise EOFError("peer closed the connection mid-message")
-        chunks.append(part)
-        remaining -= len(part)
-    return b"".join(chunks)
+    """Frame and send one cluster message (:func:`repro.runtime.wire.send`)."""
+    wire.send(sock, message)
 
 
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one framed message; raises :class:`EOFError` on a clean close."""
-    header = sock.recv(_HEADER.size)
-    if not header:
-        raise EOFError("peer closed the connection")
-    if len(header) < _HEADER.size:
-        header += _recv_exact(sock, _HEADER.size - len(header))
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise OSError(
-            f"framed message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit (corrupt stream?)"
-        )
-    message = pickle.loads(_recv_exact(sock, length))
-    if not isinstance(message, dict):
-        raise OSError(f"expected a message dict, got {type(message).__name__}")
-    return message
+    """Receive one cluster message; :class:`EOFError` on a clean close,
+    :class:`~repro.runtime.wire.FrameError` on a malformed frame."""
+    return wire.recv(sock)
+
+
+def _results_from_payload(payload: Any) -> List[TrialResult]:
+    """Results from a ``result`` frame (``as_dict`` plus ``profile`` each),
+    rejecting a malformed one."""
+    try:
+        return [TrialResult.from_dict(item) for item in payload]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise wire.FrameError(f"malformed result frame: {exc!r}") from None
 
 
 def parse_hosts(
@@ -410,38 +373,30 @@ class WorkerServer:
         """One session: handshake, then a chunk loop or a heartbeat loop."""
         try:
             hello = recv_message(conn)
-        except (EOFError, OSError, pickle.UnpicklingError):
+        except (EOFError, OSError):
             return None
-        version = hello.get("version")
-        if (
-            hello.get("type") != "hello"
-            or not isinstance(version, int)
-            or isinstance(version, bool)
-            or version < MIN_PROTOCOL_VERSION
-        ):
+        if hello.get("type") != "hello" or hello.get("version") != PROTOCOL_VERSION:
             try:
                 send_message(
                     conn,
                     {
                         "type": "error",
                         "error": (
-                            f"protocol mismatch: worker speaks "
-                            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}, "
-                            f"driver sent {hello!r}"
+                            f"protocol mismatch: worker speaks v{PROTOCOL_VERSION}, "
+                            f"driver sent {hello!r}; run the same release on both"
                         ),
                     },
                 )
             except OSError:  # pragma: no cover - peer already gone
                 pass
             return None
-        negotiated = min(version, PROTOCOL_VERSION)
-        role = hello.get("role", "driver") if negotiated >= 2 else "driver"
+        role = hello.get("role", "driver")
         try:
             send_message(
                 conn,
                 {
                     "type": "welcome",
-                    "version": negotiated,
+                    "version": PROTOCOL_VERSION,
                     "pid": os.getpid(),
                     "pinned": self.faults.pins_work,
                 },
@@ -464,7 +419,7 @@ class WorkerServer:
         while True:
             try:
                 message = recv_message(conn)
-            except (EOFError, OSError, pickle.UnpicklingError):
+            except (EOFError, OSError):
                 return
             kind = message.get("type")
             if kind == "bye":
@@ -488,7 +443,7 @@ class WorkerServer:
                 while True:  # swallow pings silently; never answer again
                     try:
                         recv_message(conn)
-                    except (EOFError, OSError, pickle.UnpicklingError):
+                    except (EOFError, OSError):
                         return
             with self._mutex:
                 self._pongs += 1
@@ -540,7 +495,8 @@ class WorkerServer:
                 )
                 time.sleep(self.faults.slow_seconds)
             try:
-                results = run_chunk(message["specs"], message.get("snapshot"))
+                specs = [TrialSpec.from_config(config) for config in message["specs"]]
+                results = run_chunk(specs, message.get("snapshot"))
             except Exception:  # noqa: BLE001 - remote traceback travels back
                 send_message(
                     conn,
@@ -560,7 +516,7 @@ class WorkerServer:
             reply = {
                 "type": "result",
                 "chunk": message.get("chunk"),
-                "results": results,
+                "results": [{**r.as_dict(), "profile": r.profile} for r in results],
             }
             fault = self.faults.frame_fault_at(frame)
             if fault is not None and fault.mode == "drop":
@@ -572,11 +528,10 @@ class WorkerServer:
                 self._inject(
                     "truncate_frame", f"truncated result frame {frame}"
                 )
-                payload = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+                data = wire.encode(reply)
+                cut = wire.HEADER.size + (len(data) - wire.HEADER.size) // 2
                 try:
-                    conn.sendall(
-                        _HEADER.pack(len(payload)) + payload[: len(payload) // 2]
-                    )
+                    conn.sendall(data[:cut])
                 except OSError:
                     pass
                 return
@@ -597,74 +552,44 @@ class WorkerServer:
 # ----------------------------------------------------------------------
 
 
-class _ProtocolUnsupported(OSError):
-    """The peer cannot serve the requested session role (legacy worker)."""
-
-
 class _WorkerSession:
     """Driver-side handle on one connected worker (socket + handshake)."""
 
-    def __init__(
-        self, sock: socket.socket, pid: int, version: int, pinned: bool = False
-    ) -> None:
+    def __init__(self, sock: socket.socket, pid: int, pinned: bool = False) -> None:
         self.sock = sock
         self.pid = pid
-        self.version = version
         self.pinned = pinned
 
     @classmethod
     def connect(
         cls, host: str, timeout: float, role: Optional[str] = None
     ) -> "_WorkerSession":
-        """Dial ``host:port``, negotiate a version, return a ready session.
+        """Dial ``host:port``, exchange hello/welcome, return a ready session.
 
-        The driver offers :data:`PROTOCOL_VERSION` first; if the worker
-        rejects the offer with a protocol error (a pre-negotiation v1
-        worker), it re-dials once with :data:`MIN_PROTOCOL_VERSION`.
-        Role-carrying sessions (``role="heartbeat"``) need protocol 2 and
-        raise :class:`_ProtocolUnsupported` against older workers instead
-        of downgrading.
+        Transport failures raise :class:`OSError` / :class:`EOFError`.  A
+        worker that refuses the hello (another protocol version) raises
+        :class:`RuntimeError`: retrying cannot help, so the batch fails.
         """
         name, _, port = host.rpartition(":")
-        versions = [PROTOCOL_VERSION]
-        if role is None and MIN_PROTOCOL_VERSION < PROTOCOL_VERSION:
-            versions.append(MIN_PROTOCOL_VERSION)
-        last_error = ""
-        for version in versions:
-            sock = socket.create_connection((name, int(port)), timeout=timeout)
-            try:
-                hello: Dict[str, Any] = {"type": "hello", "version": version}
-                if role is not None:
-                    hello["role"] = role
-                send_message(sock, hello)
-                welcome = recv_message(sock)
-            except BaseException:
-                sock.close()
-                raise
-            if welcome.get("type") == "welcome":
-                try:
-                    negotiated = int(welcome.get("version", version))
-                except (TypeError, ValueError):
-                    negotiated = version
-                sock.settimeout(None)
-                return cls(
-                    sock,
-                    int(welcome.get("pid", -1)),
-                    negotiated,
-                    welcome.get("pinned") is True,
-                )
+        sock = socket.create_connection((name, int(port)), timeout=timeout)
+        try:
+            hello: Dict[str, Any] = {"type": "hello", "version": PROTOCOL_VERSION}
+            if role is not None:
+                hello["role"] = role
+            send_message(sock, hello)
+            welcome = recv_message(sock)
+        except BaseException:
             sock.close()
-            last_error = str(welcome.get("error", welcome))
-            if "protocol" not in last_error.lower():
-                raise OSError(
-                    f"worker {host} rejected the handshake: {last_error}"
-                )
-            # A protocol rejection: fall through to the legacy version.
-        if role is not None:
-            raise _ProtocolUnsupported(
-                f"worker {host} cannot serve {role} sessions: {last_error}"
+            raise
+        if welcome.get("type") != "welcome" or welcome.get("version") != PROTOCOL_VERSION:
+            sock.close()
+            raise RuntimeError(
+                f"worker {host} rejected the handshake: "
+                f"{welcome.get('error', welcome)}"
             )
-        raise OSError(f"worker {host} rejected the handshake: {last_error}")
+        sock.settimeout(None)
+        pid = welcome.get("pid")
+        return cls(sock, pid if type(pid) is int else -1, welcome.get("pinned") is True)
 
     def request(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         """Send one message and block for its reply."""
@@ -714,6 +639,9 @@ class _RunState:
             for host, ids in dealt.items():
                 self.queues[host].extend(ids)
         self.live = set(hosts)
+        # Hosts whose dispatch handshake has completed.  Until then a
+        # host's queue is not stealable: its welcome may still pin it.
+        self.ready: set = set()
         # Hosts whose welcome asked not to have queued work stolen
         # (fault-injected workers; see repro.runtime.faults).
         self.pinned: set = set()
@@ -753,8 +681,9 @@ class ClusterExecutor:
         Optional :class:`ProgressReporter`; cluster events are emitted as
         ``worker_connect`` / ``worker_lost`` / ``chunk_migrated`` /
         ``steal`` / ``heartbeat_miss``.
-    snapshots / snapshot_store:
-        Boundary-snapshot hand-off, exactly as on the pool executor.
+    snapshot_store:
+        Store boundary snapshots are cached in, exactly as on the pool
+        executor.
     retries:
         Reconnection attempts per host before it is declared lost.
     backoff:
@@ -781,7 +710,6 @@ class ClusterExecutor:
         hosts: Union[str, Sequence[str]],
         chunk_size: Optional[int] = None,
         progress: Optional[ProgressReporter] = None,
-        snapshots: bool = True,
         snapshot_store=None,
         retries: int = 3,
         backoff: float = 0.1,
@@ -807,7 +735,6 @@ class ClusterExecutor:
             )
         self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
-        self.snapshots = bool(snapshots)
         self.snapshot_store = snapshot_store
         self.retries = max(0, int(retries))
         self.backoff = float(backoff)
@@ -830,7 +757,6 @@ class ClusterExecutor:
         specs = list(specs)
         if not specs:
             return []
-        started = time.perf_counter()
         if not all(spec.portable for spec in specs):
             # Live objects cannot travel over the wire; same downgrade as
             # the pool, so cluster options are always safe to pass.
@@ -838,16 +764,9 @@ class ClusterExecutor:
                 "fallback",
                 reason="batch holds live objects that cannot be shipped to cluster workers",
             )
-            self.progress.emit("batch_start", total=len(specs), workers=1)
-            self.progress.emit("chunk_start", chunk=0, trials=len(specs), boundary=None)
-            results = run_chunk(specs)
-            self.progress.emit("chunk_done", chunk=0, trials=len(results), results=results)
-            results.sort(key=lambda r: (r.index, r.stream))
-            self.progress.emit(
-                "batch_finish", done=len(results), elapsed=time.perf_counter() - started
-            )
-            return results
+            return TrialExecutor(progress=self.progress).run(specs)
 
+        started = time.perf_counter()
         self.progress.emit("batch_start", total=len(specs), workers=len(self.hosts))
         chunks, dealt = self._plan(specs)
         boundaries, payloads = self._boundary_payloads(chunks)
@@ -1009,12 +928,7 @@ class ClusterExecutor:
         payloads: Dict[int, Optional[Mapping[str, Any]]] = {
             i: None for i in range(len(chunks))
         }
-        pipelined = (
-            self.snapshots
-            and len(chunks) > 1
-            and chunks[0][0].kind in SNAPSHOT_KINDS
-        )
-        if not pipelined:
+        if len(chunks) < 2 or chunks[0][0].kind not in SNAPSHOT_KINDS:
             return boundaries, payloads
         backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
         for i, chunk in enumerate(chunks):
@@ -1031,11 +945,10 @@ class ClusterExecutor:
         Counts consecutive misses (timeout, refused dial, transport
         error); every miss is emitted as ``heartbeat_miss`` and at
         :attr:`heartbeat_misses` the host goes through the same
-        :meth:`_host_lost` path as a dispatch failure.  Legacy v1 workers
-        (no heartbeat role) disable the monitor for their host.  Each
-        probe cycle costs ``max(interval, time spent probing)``, so
-        detection is bounded by ``misses * max(interval, ping timeout)``
-        with the ping timeout fixed at the interval.
+        :meth:`_host_lost` path as a dispatch failure.  Each probe cycle
+        costs ``max(interval, time spent probing)``, so detection is
+        bounded by ``misses * max(interval, ping timeout)`` with the ping
+        timeout fixed at the interval.
         """
         interval = self.heartbeat_interval
         threshold = self.heartbeat_misses
@@ -1054,8 +967,6 @@ class ClusterExecutor:
                         session = _WorkerSession.connect(
                             host, self.connect_timeout, role="heartbeat"
                         )
-                        if session.version < 2:
-                            return  # pre-heartbeat worker: nothing to probe
                         session.sock.settimeout(ping_timeout)
                         with state.cond:
                             state.monitor_sessions[host] = session
@@ -1064,10 +975,9 @@ class ClusterExecutor:
                     if reply.get("type") != "pong":
                         raise OSError(f"unexpected heartbeat reply {reply!r}")
                     misses = 0
-                except _ProtocolUnsupported:
-                    session = None
-                    return
-                except (OSError, EOFError, pickle.PickleError, struct.error) as exc:
+                except RuntimeError:
+                    return  # handshake refused: the dispatch thread fails the batch
+                except (OSError, EOFError) as exc:
                     if session is not None:
                         with state.cond:
                             if state.monitor_sessions.get(host) is session:
@@ -1123,20 +1033,30 @@ class ClusterExecutor:
                         session = _WorkerSession.connect(host, self.connect_timeout)
                         with state.cond:
                             state.sessions[host] = session
+                            state.ready.add(host)
                             if session.pinned:
                                 state.pinned.add(host)
                             self.progress.emit("worker_connect", host=host, pid=session.pid)
+                            state.cond.notify_all()
                     dispatched = time.perf_counter()
                     reply = session.request(
                         {
                             "type": "chunk",
                             "chunk": chunk_id,
-                            "specs": list(chunks[chunk_id]),
+                            "specs": [spec.as_config() for spec in chunks[chunk_id]],
                             "snapshot": payloads.get(chunk_id),
                         }
                     )
                     elapsed = time.perf_counter() - dispatched
-                except (OSError, EOFError, pickle.PickleError, struct.error) as exc:
+                    results = (
+                        _results_from_payload(reply.get("results"))
+                        if reply.get("type") == "result"
+                        else None
+                    )
+                except RuntimeError as exc:
+                    self._abort(state, host, chunk_id, str(exc))
+                    return
+                except (OSError, EOFError) as exc:
                     if session is not None:
                         session.close()
                     failures += 1
@@ -1160,21 +1080,14 @@ class ClusterExecutor:
                     self._host_lost(state, host, exc, chunk_id)
                     return
                 failures = 0
-                if reply.get("type") == "result":
+                if results is not None:
                     self._note_latency(host, elapsed, len(chunks[chunk_id]))
-                    self._record(state, host, chunk_id, reply.get("results") or [])
+                    self._record(state, host, chunk_id, results)
                 else:
                     # A worker-side exception is deterministic — the chunk
                     # would fail anywhere — so it aborts the batch instead
                     # of migrating.
-                    with state.cond:
-                        if state.error is None:
-                            state.error = (
-                                chunk_id,
-                                str(reply.get("error", reply)),
-                            )
-                        state.in_flight.pop(host, None)
-                        state.cond.notify_all()
+                    self._abort(state, host, chunk_id, str(reply.get("error", reply)))
                     return
         finally:
             with state.cond:
@@ -1206,7 +1119,10 @@ class ClusterExecutor:
                     victims = [
                         h
                         for h in state.live
-                        if h != host and state.queues[h] and h not in state.pinned
+                        if h != host
+                        and state.queues[h]
+                        and h in state.ready
+                        and h not in state.pinned
                     ]
                     if victims:
                         victim = max(victims, key=lambda h: len(state.queues[h]))
@@ -1237,6 +1153,14 @@ class ClusterExecutor:
                 if not pending_elsewhere:
                     return None
                 state.cond.wait(timeout=0.05)
+
+    def _abort(self, state: _RunState, host: str, chunk_id: int, error: str) -> None:
+        """Fail the batch with ``error`` (the first abort wins)."""
+        with state.cond:
+            if state.error is None:
+                state.error = (chunk_id, error)
+            state.in_flight.pop(host, None)
+            state.cond.notify_all()
 
     def _host_lost(
         self,

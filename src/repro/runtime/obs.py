@@ -7,8 +7,9 @@ path (the progress/diagnostics split of the Mercury RPC runtime):
   :class:`PhaseAccumulator` around every chunk; chunk runners wrap their
   sections in :func:`phase`, which sums ``perf_counter`` deltas per phase,
   chunk-wide or attributed to one ``(index, stream)`` trial.  The timings
-  ride back on each result's ``profile`` field through the normal pickle
-  channel — no sockets, files or global state cross process boundaries.
+  ride back on each result's ``profile`` field through the normal result
+  channel (the pool's, or a cluster result frame) — no extra sockets,
+  files or global state cross process boundaries.
 * **Driver side** — :class:`JournalReporter` writes every event emitted
   through :mod:`repro.runtime.progress` as one JSON object per line.  The
   journal is append-only, so a crashed run leaves a readable prefix, and

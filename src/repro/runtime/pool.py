@@ -16,10 +16,10 @@ draw from stateless child hubs and stay fully parallel in the workers);
 for ``repair_replay`` churn, repair and the monitoring protocol are one
 inseparable scenario, so the backbone replays all of it — still a single
 O(horizon) pass replacing the C/2 prefix replays chunking used to cost.
-Results are bit-identical either way (``snapshots=False`` restores the
-historical prefix-replay dispatch).  Boundary snapshots are content-
-addressed into the results store when one is configured, so warm re-runs
-skip the backbone too.
+A chunk whose boundary the backbone cannot serve replays its prefix from
+t=0 instead; results are bit-identical either way.  Boundary snapshots
+are content-addressed into the results store when one is configured, so
+warm re-runs skip the backbone too.
 
 Fallbacks are graceful and explicit: ``workers <= 1`` never spawns a
 process; batches holding live objects (graphs, closures) are not picklable
@@ -169,14 +169,9 @@ class TrialExecutor:
         ``workers * CHUNKS_PER_WORKER`` chunks).
     progress:
         Optional :class:`ProgressReporter` for telemetry.
-    snapshots:
-        When True (default), churn-replay kinds dispatch with pipelined
-        snapshot hand-off (module docstring); False forces the historical
-        prefix-replay dispatch.  Results are bit-identical either way.
     snapshot_store:
-        Optional :class:`~repro.runtime.store.ResultsStore` boundary
-        snapshots are cached in (never consulted when ``snapshots`` is
-        False).
+        Optional :class:`~repro.runtime.store.ResultsStore` the boundary
+        snapshots of churn-replay kinds are cached in.
     """
 
     def __init__(
@@ -184,7 +179,6 @@ class TrialExecutor:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         progress: Optional[ProgressReporter] = None,
-        snapshots: bool = True,
         snapshot_store=None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
@@ -192,7 +186,6 @@ class TrialExecutor:
         self.workers = max(1, int(workers))
         self.chunk_size = chunk_size
         self.progress = progress if progress is not None else NullProgress()
-        self.snapshots = bool(snapshots)
         self.snapshot_store = snapshot_store
 
     def _auto_chunk_size(self, total: int) -> int:
@@ -239,7 +232,7 @@ class TrialExecutor:
         chunks = chunk_specs(specs, self._auto_chunk_size(len(specs)))
         if len(chunks) == 1:
             return self._run_local(0, specs)
-        pipelined = self.snapshots and specs[0].kind in SNAPSHOT_KINDS
+        pipelined = specs[0].kind in SNAPSHOT_KINDS
         completed: dict = {}
         done = 0
         try:

@@ -16,11 +16,11 @@ the scenario from a hand-off snapshot when the executor supplies one
 (:mod:`repro.runtime.snapshots`), else replay the membership trace from
 t=0 (churn draws from its own named stream, so replaying events without
 estimating reproduces the serial graph state exactly — the prefix-replay
-fallback behind ``--no-snapshot``).
+fallback for a batch run as one chunk and for boundaries no snapshot covers).
 
 For backwards compatibility the ``overlay``/``estimator`` slots also accept
 live objects (an :class:`~repro.overlay.graph.OverlayGraph`, a factory
-closure).  Such specs are *not portable*: they cannot be pickled to workers
+closure).  Such specs are *not portable*: they cannot be shipped to workers
 or hashed into a store key, so the executor runs them serially in-process
 as one chunk — the graceful-fallback path.
 """
@@ -161,8 +161,13 @@ class OverlaySpec:
         return OVERLAY_BUILDERS[self.builder](hub, **self.params)
 
     def as_config(self) -> Dict[str, Any]:
-        """Plain-dict form for content addressing."""
+        """Plain-dict form for content addressing and the wire."""
         return {"builder": self.builder, "params": dict(self.params)}
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> "OverlaySpec":
+        """Inverse of :meth:`as_config`."""
+        return cls(config["builder"], dict(config["params"]))
 
     @classmethod
     def heterogeneous(
@@ -317,8 +322,13 @@ class EstimatorSpec:
         )
 
     def as_config(self) -> Dict[str, Any]:
-        """Plain-dict form for content addressing."""
+        """Plain-dict form for content addressing and the wire."""
         return {"kind": self.kind, "params": dict(self.params)}
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> "EstimatorSpec":
+        """Inverse of :meth:`as_config`."""
+        return cls(config["kind"], dict(config["params"]))
 
     def with_backend(self, backend: str) -> "EstimatorSpec":
         """Copy of this spec pinned to a graph ``backend``.
@@ -434,7 +444,7 @@ class TrialSpec:
 
     @property
     def portable(self) -> bool:
-        """True when the spec can be pickled to a worker and content-hashed."""
+        """True when the spec can be shipped to a worker and content-hashed."""
         if self.overlay is not None and not isinstance(self.overlay, OverlaySpec):
             return False
         if self.estimator is not None and not isinstance(
@@ -461,6 +471,22 @@ class TrialSpec:
             "estimator": self.estimator.as_config() if self.estimator else None,
             "params": dict(self.params),
         }
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> "TrialSpec":
+        """Inverse of :meth:`as_config`: how a cluster worker rebuilds a spec."""
+        overlay = config["overlay"]
+        estimator = config["estimator"]
+        return cls(
+            kind=config["kind"],
+            hub_seed=int(config["hub_seed"]),
+            index=int(config["index"]),
+            overlay=OverlaySpec.from_config(overlay) if overlay else None,
+            estimator=EstimatorSpec.from_config(estimator) if estimator else None,
+            params=dict(config["params"]),
+            stream=int(config["stream"]),
+            overlay_seed=config["overlay_seed"],
+        )
 
 
 def _jsonable(value: Any) -> bool:
@@ -538,7 +564,10 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrialResult":
-        """Rebuild a result from its :meth:`as_dict` form (store reads)."""
+        """Rebuild a result from its :meth:`as_dict` form.
+
+        Store reads have no ``profile`` key; cluster result frames add one.
+        """
         return cls(
             index=int(data["index"]),
             value=float(data["value"]),
@@ -546,6 +575,7 @@ class TrialResult:
             stream=int(data.get("stream", 0)),
             ok=bool(data.get("ok", True)),
             extra=data.get("extra"),
+            profile=data.get("profile"),
         )
 
 
@@ -1174,7 +1204,7 @@ def _attach_profiles(results: List[TrialResult], prof) -> List[TrialResult]:
 
     The chunk-level summary (pid, epoch start, shared boot/restore/churn
     phases) rides on the first result so exactly one copy crosses the
-    pickle channel per chunk.
+    process or socket boundary per chunk.
     """
     summary = prof.chunk_summary()
     out: List[TrialResult] = []

@@ -7,14 +7,11 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   ``POST /ingest`` / ``/tick`` / ``/checkpoint``; throttled estimate
   reads return ``429``.  Built on the stdlib threading HTTP server so
   the service stays dependency-free.
-* **binary frames** — an optional listener speaking the same
-  length-prefixed framing discipline as :mod:`repro.runtime.cluster`
-  (8-byte big-endian length + payload), but carrying UTF-8 JSON instead
-  of pickles: the service faces untrusted clients, and JSON frames are
-  safe to parse where pickles are not.  One request dict in, one
-  response dict out, many per connection.  This is the "small
-  self-describing request/response transport" shape of the Mercury RPC
-  work cited in PAPERS.md.
+* **binary frames** — an optional listener speaking the JSON frames of
+  :mod:`repro.runtime.wire`, the codec the cluster transport uses too.
+  One request dict in, one response dict out, many per connection.
+  This is the "small self-describing request/response transport" shape
+  of the Mercury RPC work cited in PAPERS.md.
 
 :class:`ServiceClient` is the thin client for both transports (used by
 ``examples/churn_monitoring.py`` and ``scripts/bench_service.py``); it
@@ -33,40 +30,32 @@ from urllib import request as _urlrequest
 from urllib.error import HTTPError
 from urllib.parse import parse_qs, urlparse
 
-from ..runtime.cluster import _HEADER, MAX_MESSAGE_BYTES, _recv_exact
+from ..runtime import wire
 from .core import EstimationService
 
-__all__ = ["ServiceClient", "ServiceServer", "recv_frame", "send_frame"]
+__all__ = ["MAX_REQUEST_BYTES", "ServiceClient", "ServiceServer", "recv_frame", "send_frame"]
+
+#: Largest request body either transport accepts (HTTP ``Content-Length``
+#: or a binary frame's length prefix), checked before the body is read:
+#: the service faces unauthenticated clients.
+MAX_REQUEST_BYTES = 1 << 24
 
 
 # ----------------------------------------------------------------------
-# Binary framing (cluster discipline, JSON payloads)
+# Binary framing
 # ----------------------------------------------------------------------
 
 
 def send_frame(sock: socket.socket, message: Mapping[str, Any]) -> None:
-    """Frame and send one message: 8-byte length prefix + UTF-8 JSON."""
-    payload = json.dumps(dict(message)).encode("utf-8")
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    """Frame and send one service message (:func:`repro.runtime.wire.send`)."""
+    wire.send(sock, message)
 
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one framed JSON message; :class:`EOFError` on clean close."""
-    header = sock.recv(_HEADER.size)
-    if not header:
-        raise EOFError("peer closed the connection")
-    if len(header) < _HEADER.size:
-        header += _recv_exact(sock, _HEADER.size - len(header))
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise OSError(
-            f"framed message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit (corrupt stream?)"
-        )
-    message = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    if not isinstance(message, dict):
-        raise OSError(f"expected a message dict, got {type(message).__name__}")
-    return message
+    """Receive one service message of at most :data:`MAX_REQUEST_BYTES`;
+    :class:`EOFError` on a clean close, :class:`~repro.runtime.wire.FrameError`
+    on a malformed frame."""
+    return wire.recv(sock, MAX_REQUEST_BYTES)
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +149,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if op not in _POST_OPS:
             self._respond(404, {"error": f"unknown endpoint {parsed.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        length = self.headers.get("Content-Length", "")
+        if not (length.isascii() and length.isdigit()):
+            self._refuse(400, f"Content-Length must be a non-negative integer, got {length!r}")
+            return
+        if int(length) > MAX_REQUEST_BYTES:
+            self._refuse(413, f"request body exceeds the {MAX_REQUEST_BYTES}-byte limit")
+            return
+        raw = self.rfile.read(int(length))
         try:
             body = json.loads(raw.decode("utf-8")) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
             self._respond(400, {"error": f"invalid JSON body: {exc}"})
             return
         if not isinstance(body, dict):
@@ -172,6 +167,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         status, payload = _dispatch(self.server.service, op, body)
         self._respond(status, payload)
+
+    def _refuse(self, status: int, error: str) -> None:
+        """Answer without reading the body, then close the connection
+        rather than parse the unread body as the next request."""
+        self.close_connection = True
+        self._respond(status, {"error": error})
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -288,7 +289,15 @@ class ServiceServer:
             while True:
                 try:
                     message = recv_frame(conn)
-                except (EOFError, OSError, json.JSONDecodeError):
+                except wire.FrameError as exc:
+                    # The stream cannot be trusted past a malformed frame:
+                    # answer once, then hang up.
+                    try:
+                        send_frame(conn, {"status": 400, "error": str(exc)})
+                    except OSError:
+                        pass
+                    return
+                except (EOFError, OSError):
                     return
                 op = str(message.get("op", ""))
                 status, payload = _dispatch(self.service, op, message)

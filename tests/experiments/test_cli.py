@@ -66,14 +66,6 @@ class TestMain:
         assert "fig07" in out
         assert "legend" in out
 
-    def test_legacy_bare_target_still_works(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "small")
-        assert main(["fig7", "--quiet"]) == 0
-
-    def test_legacy_flags_before_target_still_work(self, capsys, monkeypatch):
-        """The pre-subcommand parser accepted optionals first."""
-        assert main(["--scale", "small", "fig7", "--quiet"]) == 0
-
     def test_run_table_renders_rows(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "small")
         assert main(["run", "ablation_hops_oracle"]) == 0

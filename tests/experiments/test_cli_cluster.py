@@ -52,13 +52,6 @@ class TestWorkerServe:
         out = capsys.readouterr().out
         assert "worker listening on 127.0.0.1:" in out
 
-    def test_worker_is_not_rewritten_as_legacy_target(self, capsys):
-        # "worker" leads the argv, so the bare-target rewrite must not
-        # prepend "run" even though later tokens never match a target.
-        with pytest.raises(SystemExit):
-            main(["worker"])  # missing subcommand -> argparse error, not run
-        assert "usage" in capsys.readouterr().err
-
 
 class TestEndToEnd:
     def test_run_through_two_localhost_workers(self, tmp_path, monkeypatch):

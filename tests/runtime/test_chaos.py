@@ -133,7 +133,7 @@ class TestScheduleProofFaults:
             assert session.pinned
             replies = []
             for chunk, spec in enumerate(_specs(count=max(after, 1))):
-                message = {"type": "chunk", "chunk": chunk, "specs": [spec], "snapshot": None}
+                message = {"type": "chunk", "chunk": chunk, "specs": [spec.as_config()], "snapshot": None}
                 try:
                     replies.append(session.request(message))
                 except (EOFError, OSError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
-import pickle
 import socket
 import struct
 import threading
@@ -49,13 +48,12 @@ from repro.runtime import (
     trace_to_payload,
 )
 from repro.runtime.cluster import (
-    MAX_MESSAGE_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     _WorkerSession,
     recv_message,
     send_message,
 )
+from repro.runtime.wire import MAX_FRAME_BYTES, FrameError
 from repro.sim.rng import RngHub
 
 
@@ -161,8 +159,8 @@ class TestProtocol:
     def test_oversized_frame_rejected(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(struct.pack(">Q", MAX_MESSAGE_BYTES + 1))
-            with pytest.raises(OSError):
+            a.sendall(struct.pack(">Q", MAX_FRAME_BYTES + 1))
+            with pytest.raises(FrameError):
                 recv_message(b)
         finally:
             a.close(), b.close()
@@ -170,16 +168,28 @@ class TestProtocol:
     def test_non_dict_message_rejected(self):
         a, b = socket.socketpair()
         try:
-            blob = pickle.dumps([1, 2, 3])
+            blob = json.dumps([1, 2, 3]).encode("utf-8")
             a.sendall(struct.pack(">Q", len(blob)) + blob)
-            with pytest.raises(OSError):
+            with pytest.raises(FrameError):
                 recv_message(b)
         finally:
             a.close(), b.close()
 
-    @pytest.mark.parametrize("bad_version", [0, -1, "2", None, True])
+    @pytest.mark.parametrize(
+        "bad_version",
+        [
+            0,
+            -1,
+            "2",
+            None,
+            True,
+            pytest.param(1, id="v1"),
+            pytest.param(2, id="v2"),
+            pytest.param(PROTOCOL_VERSION + 1, id="newer"),
+        ],
+    )
     def test_handshake_invalid_version_is_fatal(self, bad_version):
-        """Offers below the floor (or non-integers) fail the handshake."""
+        """Any hello version other than PROTOCOL_VERSION is refused."""
         with cluster(1) as hosts:
             name, _, port = hosts[0].rpartition(":")
             sock = socket.create_connection((name, int(port)), timeout=5.0)
@@ -191,93 +201,43 @@ class TestProtocol:
             finally:
                 sock.close()
 
-    def test_handshake_negotiates_down_to_worker_version(self):
-        """A newer driver's offer is answered with the worker's own version."""
-        with cluster(1) as hosts:
-            name, _, port = hosts[0].rpartition(":")
-            sock = socket.create_connection((name, int(port)), timeout=5.0)
-            try:
-                send_message(
-                    sock, {"type": "hello", "version": PROTOCOL_VERSION + 7}
-                )
-                reply = recv_message(sock)
-                assert reply["type"] == "welcome"
-                assert reply["version"] == PROTOCOL_VERSION
-            finally:
-                sock.close()
-
-    def test_handshake_accepts_legacy_v1_driver(self):
-        """An old v1 driver (no role field) still gets a v1 chunk session."""
-        specs = _static_specs(count=2)
-        with cluster(1) as hosts:
-            name, _, port = hosts[0].rpartition(":")
-            sock = socket.create_connection((name, int(port)), timeout=5.0)
-            try:
-                send_message(
-                    sock, {"type": "hello", "version": MIN_PROTOCOL_VERSION}
-                )
-                reply = recv_message(sock)
-                assert reply["type"] == "welcome"
-                assert reply["version"] == MIN_PROTOCOL_VERSION
-                send_message(
-                    sock,
-                    {"type": "chunk", "chunk": 0, "specs": specs, "snapshot": None},
-                )
-                result = recv_message(sock)
-                assert result["type"] == "result"
-                assert len(result["results"]) == len(specs)
-            finally:
-                sock.close()
-
-    def test_driver_downgrades_against_legacy_v1_worker(self):
-        """A new driver re-dials a strict-v1 worker with the floor version."""
+    def test_driver_fails_batch_against_other_version_worker(self):
+        """A worker refusing the hello fails the batch at once: no retry, no fallback."""
         listener = socket.create_server(("127.0.0.1", 0))
         address = f"127.0.0.1:{listener.getsockname()[1]}"
+        dials = []
 
-        def legacy_worker():
-            # A pre-negotiation worker: strict equality on version 1.
-            for _ in range(2):
+        def old_worker():
+            while True:
                 try:
                     conn, _addr = listener.accept()
                 except OSError:
                     return
-                try:
-                    hello = recv_message(conn)
-                    if hello.get("version") != MIN_PROTOCOL_VERSION:
-                        send_message(
-                            conn,
-                            {"type": "error", "error": "protocol mismatch: v1 only"},
-                        )
-                        continue
+                with conn:
+                    dials.append(recv_message(conn))
                     send_message(
-                        conn,
-                        {
-                            "type": "welcome",
-                            "version": MIN_PROTOCOL_VERSION,
-                            "pid": 4242,
-                        },
+                        conn, {"type": "error", "error": "protocol mismatch: v2 only"}
                     )
-                    return
-                finally:
-                    conn.close()
 
-        thread = threading.Thread(target=legacy_worker, daemon=True)
+        thread = threading.Thread(target=old_worker, daemon=True)
         thread.start()
+        telemetry = TelemetryCollector()
         try:
-            session = _WorkerSession.connect(address, timeout=5.0)
-            assert session.version == MIN_PROTOCOL_VERSION
-            assert session.pid == 4242
-            session.close()
+            with pytest.raises(RuntimeError, match="rejected the handshake"):
+                ClusterExecutor(
+                    [address], progress=telemetry, heartbeat_interval=0
+                ).run(_static_specs(count=4))
         finally:
             listener.close()
             thread.join(timeout=5.0)
+        assert dials == [{"type": "hello", "version": PROTOCOL_VERSION}]
+        assert telemetry.count("partial_fallback") == 0
 
     def test_heartbeat_session_answers_pings(self):
-        """A v2 heartbeat-role session answers ping with matching pong."""
+        """A heartbeat-role session answers ping with matching pong."""
         with cluster(1) as hosts:
             session = _WorkerSession.connect(hosts[0], timeout=5.0, role="heartbeat")
             try:
-                assert session.version == PROTOCOL_VERSION
                 for seq in (1, 2, 3):
                     reply = session.request({"type": "ping", "seq": seq})
                     assert reply == {"type": "pong", "seq": seq}
@@ -325,13 +285,13 @@ class TestClusterDeterminism:
         assert_results_equal(serial, results)
 
     def test_snapshots_off_matches_serial(self):
+        """Snapshot hand-off on a cluster == the one-chunk serial oracle,
+        which replays the whole scenario from t=0 with no snapshot."""
         specs = _replay_specs()
-        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
+        oracle = run_chunk(list(specs))
         with cluster(2) as hosts:
-            results = ClusterExecutor(hosts, chunk_size=3, snapshots=False).run(
-                list(specs)
-            )
-        assert_results_equal(serial, results)
+            results = ClusterExecutor(hosts, chunk_size=3).run(list(specs))
+        assert_results_equal(oracle, results)
 
     def test_content_addresses_match_process_pool(self, tmp_path):
         """Cluster and pool runs of one batch land at the same store key."""

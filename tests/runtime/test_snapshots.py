@@ -31,6 +31,7 @@ from repro.runtime import (
     ResultsStore,
     RuntimeOptions,
     TrialSpec,
+    run_chunk,
     run_trials,
     trace_to_payload,
 )
@@ -391,16 +392,14 @@ ALL_REPLAY_KINDS = ["dynamic_probe", "multi_probe", "repair_replay", "agg_dynami
 class TestChunkBoundaryBitIdentity:
     @pytest.mark.parametrize("kind", ALL_REPLAY_KINDS)
     def test_workers_and_snapshot_modes_match_serial(self, kind):
+        """Chunked snapshot hand-off == the one-chunk serial oracle, which
+        replays the whole scenario from t=0 with no snapshot."""
         specs = _specs(kind)
-        serial = run_trials(specs, runtime=RuntimeOptions(workers=1))
+        oracle = run_chunk(list(specs))
         with_snap = run_trials(
             specs, runtime=RuntimeOptions(workers=4, chunk_size=3)
         )
-        without_snap = run_trials(
-            specs, runtime=RuntimeOptions(workers=4, chunk_size=3, snapshots=False)
-        )
-        assert_results_equal(serial, with_snap)
-        assert_results_equal(serial, without_snap)
+        assert_results_equal(oracle, with_snap)
 
     @pytest.mark.parametrize("kind", ALL_REPLAY_KINDS)
     def test_warm_cache_matches_serial(self, kind, tmp_path):
@@ -417,16 +416,12 @@ class TestChunkBoundaryBitIdentity:
         assert_results_equal(serial, warm)
 
     def test_snapshots_do_not_change_result_addresses(self, tmp_path):
-        """Result artifacts land at the same key with snapshots on or off."""
+        """Result artifacts land at the same key with snapshot hand-off
+        and with the one-chunk serial oracle (no snapshot)."""
         specs = _specs("multi_probe")
         store_a, store_b = ResultsStore(tmp_path / "a"), ResultsStore(tmp_path / "b")
         run_trials(specs, runtime=RuntimeOptions(workers=4, chunk_size=3, store=store_a))
-        run_trials(
-            specs,
-            runtime=RuntimeOptions(
-                workers=4, chunk_size=3, store=store_b, snapshots=False
-            ),
-        )
+        run_trials(specs, runtime=RuntimeOptions(workers=1, store=store_b))
         results_a = {i.key for i in store_a.artifacts() if i.payload == "results"}
         results_b = {i.key for i in store_b.artifacts() if i.payload == "results"}
         assert results_a == results_b

@@ -12,8 +12,10 @@ full-batch results exactly).
 from __future__ import annotations
 
 import pickle
+import socket
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.churn.models import shrinking_trace
 from repro.core.idspace import IdSpaceSpec, IdentifierSpace
@@ -23,7 +25,9 @@ from repro.overlay.repair import (
     NoRepair,
     RepairPolicySpec,
 )
+from repro.runtime import wire
 from repro.runtime.trials import (
+    TRIAL_KINDS,
     EstimatorSpec,
     OverlaySpec,
     TrialSpec,
@@ -112,6 +116,85 @@ class TestIdSpaceSpec:
         assert [built.id_of(u) for u in small_het_graph.nodes()] == [
             manual.id_of(u) for u in small_het_graph.nodes()
         ]
+
+
+sizes = st.integers(min_value=1, max_value=10**6)
+small = st.integers(min_value=1, max_value=64)
+backends = st.sampled_from(["dict", "array"])
+
+#: Every named constructor of the overlay and estimator catalogs.
+overlay_specs = st.one_of(
+    st.builds(
+        OverlaySpec.heterogeneous,
+        sizes,
+        max_degree=small,
+        min_degree=small,
+        stream=st.sampled_from(["overlay", "het"]),
+    ),
+    st.builds(OverlaySpec.homogeneous, sizes, k=small, stream=st.sampled_from(["overlay", "hom"])),
+    st.builds(OverlaySpec.ring_lattice, sizes, k=small),
+    st.builds(OverlaySpec.scale_free, sizes, m=small),
+)
+estimator_specs = st.one_of(
+    st.builds(
+        EstimatorSpec.sample_collide,
+        l=small,
+        timer=st.floats(min_value=0.0, max_value=1e6),
+        backend=backends,
+    ),
+    st.builds(
+        EstimatorSpec.hops_sampling,
+        gossip_to=small,
+        min_hops_reporting=small,
+        oracle_distances=st.booleans(),
+        backend=backends,
+    ),
+    st.just(EstimatorSpec.random_tour()),
+    st.builds(EstimatorSpec.aggregation_epoch, rounds=small),
+    st.builds(EstimatorSpec.interval_density, k=small),
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+trial_specs = st.builds(
+    TrialSpec,
+    kind=st.sampled_from(sorted(TRIAL_KINDS)),
+    hub_seed=st.integers(min_value=0, max_value=2**63),
+    index=st.integers(min_value=0, max_value=10**6),
+    overlay=st.none() | overlay_specs,
+    estimator=st.none() | estimator_specs,
+    params=st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+    stream=st.integers(min_value=0, max_value=8),
+    overlay_seed=st.none() | st.integers(min_value=0, max_value=2**63),
+)
+
+
+class TestTrialSpecWireForm:
+    """Cluster workers rebuild every spec from its ``as_config`` frame."""
+
+    @given(spec=trial_specs)
+    def test_from_config_inverts_as_config(self, spec):
+        assert TrialSpec.from_config(spec.as_config()) == spec
+
+    @given(spec=trial_specs)
+    def test_round_trip_through_a_json_frame(self, spec):
+        a, b = socket.socketpair()
+        with a, b:
+            wire.send(a, {"spec": spec.as_config()})
+            decoded = wire.recv(b)["spec"]
+        assert TrialSpec.from_config(decoded) == spec
+
+    @given(overlay=overlay_specs, estimator=estimator_specs)
+    def test_catalog_specs_round_trip(self, overlay, estimator):
+        assert OverlaySpec.from_config(overlay.as_config()) == overlay
+        assert EstimatorSpec.from_config(estimator.as_config()) == estimator
 
 
 def _delay_specs(hub_seed=11, n=300):

@@ -49,14 +49,6 @@ class TestParsing:
         assert exc.value.code == 2
         assert "same host" in capsys.readouterr().err
 
-    def test_serve_is_not_rewritten_as_legacy_target(self, capsys):
-        # "serve" leads the argv, so the bare-target rewrite must leave it
-        # alone instead of prepending "run".
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--no-such-flag"])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
-
 
 class TestServeSmoke:
     def test_bounded_run_prints_machine_parsable_address(self, capsys, tmp_path):

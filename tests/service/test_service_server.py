@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.service import (
     recv_frame,
     send_frame,
 )
-from repro.service.server import _dispatch
+from repro.service.server import MAX_REQUEST_BYTES, _dispatch
 
 from test_service_core import FakeClock, canonical, small_config
 
@@ -110,6 +111,66 @@ class TestHTTP:
         assert canonical(restored) == canonical(witness)
 
 
+def _raw_post(address, content_length, body=b""):
+    """POST /tick with a hand-written Content-Length header (``None`` omits
+    it) and ``body``; returns ``(status, payload)`` of the reply."""
+    host, port = address.split(":")
+    header = "" if content_length is None else f"Content-Length: {content_length}\r\n"
+    request = f"POST /tick HTTP/1.1\r\nHost: {host}\r\n{header}\r\n"
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(request.encode("ascii") + body)
+        reply = conn.makefile("rb")
+        status = int(reply.readline().split()[1])
+        headers = {}
+        for line in iter(reply.readline, b"\r\n"):
+            if not line:
+                raise EOFError("server closed the connection mid-reply")
+            name, _, value = line.decode("ascii").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = reply.read(int(headers["content-length"]))
+    return status, json.loads(body.decode("utf-8"))
+
+
+class TestHTTPRequestLimits:
+    """The body length is checked before the body is read."""
+
+    @pytest.fixture
+    def address(self, service):
+        with ServiceServer(service) as server:
+            yield server.address
+
+    def test_missing_length_is_400(self, address):
+        status, payload = _raw_post(address, None)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_integer_length_is_400(self, address):
+        status, payload = _raw_post(address, "abc")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_length_is_400(self, address):
+        status, payload = _raw_post(address, "-1")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversize_length_is_413(self, address):
+        status, payload = _raw_post(address, str(10**12))
+        assert status == 413
+        assert "exceeds" in payload["error"]
+
+    def test_deeply_nested_body_is_400(self, address):
+        body = b"[" * 100_000
+        status, payload = _raw_post(address, str(len(body)), body)
+        assert status == 400
+        assert "invalid JSON body" in payload["error"]
+
+    def test_empty_body_is_accepted(self, address):
+        status, payload = _raw_post(address, "0")
+        assert status == 200
+        assert payload == {"round": 1}
+
+
 class TestBinary:
     def test_many_requests_per_connection(self, service):
         with ServiceServer(service, binary_port=0) as server:
@@ -143,6 +204,25 @@ class TestBinary:
                 while len(body) < length:
                     body += conn.recv(length - len(body))
                 json.loads(body.decode("utf-8"))  # must parse as plain JSON
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            struct.pack(">Q", 2) + b"\xff\xfe",  # not UTF-8
+            struct.pack(">Q", 6) + b"[1, 2]",  # not an object
+            struct.pack(">Q", MAX_REQUEST_BYTES + 1),  # oversize, body never sent
+        ],
+        ids=["non-utf8", "non-object", "oversize"],
+    )
+    def test_malformed_frame_gets_400_then_hangup(self, service, frame):
+        with ServiceServer(service, binary_port=0) as server:
+            host, port = server.binary_address.split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.sendall(frame)
+                reply = recv_frame(conn)
+                assert reply["status"] == 400
+                with pytest.raises(EOFError):
+                    recv_frame(conn)
 
 
 class TestDispatch:
