@@ -11,6 +11,7 @@ documented ``misses x interval`` bound, mid-batch, not post-hoc.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -159,6 +160,39 @@ class TestScheduleProofFaults:
         serial = run_chunk(list(specs))
         faults = WorkerFaults(slow_seconds=0.05, frame_faults=(FrameFault(99, "drop"),))
         servers = [WorkerServer(faults=faults), WorkerServer()]
+        threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+        for thread in threads:
+            thread.start()
+        try:
+            telemetry = TelemetryCollector()
+            executor = ClusterExecutor(
+                [s.address for s in servers],
+                chunk_size=2,
+                progress=telemetry,
+                heartbeat_interval=0,
+            )
+            results = executor.run(list(specs))
+        finally:
+            for server in servers:
+                server.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        assert chaos.results_key(results) == chaos.results_key(serial)
+        assert telemetry.count("steal") == 0
+
+    def test_no_steal_before_the_handshake_pins_the_host(self):
+        # The faulty host's welcome arrives late; until it does, its
+        # queue must not be stealable, or an idle peer could take the
+        # chunks its counted fault is waiting for.
+        class SlowHandshake(WorkerServer):
+            def _serve_session(self, conn):
+                time.sleep(1.0)
+                return super()._serve_session(conn)
+
+        specs = _specs(count=16)
+        serial = run_chunk(list(specs))
+        faults = WorkerFaults(frame_faults=(FrameFault(99, "drop"),))
+        servers = [SlowHandshake(faults=faults), WorkerServer()]
         threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
         for thread in threads:
             thread.start()
