@@ -125,14 +125,12 @@ def send_message(sock: socket.socket, message: Mapping[str, Any]) -> None:
 
 
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one cluster message; :class:`EOFError` on a clean close,
-    :class:`~repro.runtime.wire.FrameError` on a malformed frame."""
+    """Receive one cluster message (:func:`repro.runtime.wire.recv`)."""
     return wire.recv(sock)
 
 
 def _results_from_payload(payload: Any) -> List[TrialResult]:
-    """Results from a ``result`` frame (``as_dict`` plus ``profile`` each),
-    rejecting a malformed one."""
+    """Results from a ``result`` frame (``as_dict`` plus ``profile`` each)."""
     try:
         return [TrialResult.from_dict(item) for item in payload]
     except (KeyError, TypeError, ValueError) as exc:
@@ -561,9 +559,7 @@ class _WorkerSession:
         self.pinned = pinned
 
     @classmethod
-    def connect(
-        cls, host: str, timeout: float, role: Optional[str] = None
-    ) -> "_WorkerSession":
+    def connect(cls, host: str, timeout: float, role: str = "driver") -> "_WorkerSession":
         """Dial ``host:port``, exchange hello/welcome, return a ready session.
 
         Transport failures raise :class:`OSError` / :class:`EOFError`.  A
@@ -573,10 +569,7 @@ class _WorkerSession:
         name, _, port = host.rpartition(":")
         sock = socket.create_connection((name, int(port)), timeout=timeout)
         try:
-            hello: Dict[str, Any] = {"type": "hello", "version": PROTOCOL_VERSION}
-            if role is not None:
-                hello["role"] = role
-            send_message(sock, hello)
+            send_message(sock, {"type": "hello", "version": PROTOCOL_VERSION, "role": role})
             welcome = recv_message(sock)
         except BaseException:
             sock.close()

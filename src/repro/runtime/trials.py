@@ -475,8 +475,7 @@ class TrialSpec:
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "TrialSpec":
         """Inverse of :meth:`as_config`: how a cluster worker rebuilds a spec."""
-        overlay = config["overlay"]
-        estimator = config["estimator"]
+        overlay, estimator = config["overlay"], config["estimator"]
         return cls(
             kind=config["kind"],
             hub_seed=int(config["hub_seed"]),

@@ -52,9 +52,7 @@ def send_frame(sock: socket.socket, message: Mapping[str, Any]) -> None:
 
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one service message of at most :data:`MAX_REQUEST_BYTES`;
-    :class:`EOFError` on a clean close, :class:`~repro.runtime.wire.FrameError`
-    on a malformed frame."""
+    """Receive one service message of at most :data:`MAX_REQUEST_BYTES`."""
     return wire.recv(sock, MAX_REQUEST_BYTES)
 
 

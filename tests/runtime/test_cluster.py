@@ -228,9 +228,11 @@ class TestProtocol:
                     [address], progress=telemetry, heartbeat_interval=0
                 ).run(_static_specs(count=4))
         finally:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
             listener.close()
             thread.join(timeout=5.0)
-        assert dials == [{"type": "hello", "version": PROTOCOL_VERSION}]
+        assert not thread.is_alive()
+        assert dials == [{"type": "hello", "version": PROTOCOL_VERSION, "role": "driver"}]
         assert telemetry.count("partial_fallback") == 0
 
     def test_heartbeat_session_answers_pings(self):
@@ -284,14 +286,20 @@ class TestClusterDeterminism:
             results = ClusterExecutor(hosts, chunk_size=3).run(list(specs))
         assert_results_equal(serial, results)
 
-    def test_snapshots_off_matches_serial(self):
-        """Snapshot hand-off on a cluster == the one-chunk serial oracle,
-        which replays the whole scenario from t=0 with no snapshot."""
+    def test_snapshots_off_matches_serial(self, tmp_path):
+        """Snapshot hand-off on a cluster — computed, then served from the
+        store — matches the one-chunk serial oracle, which replays the
+        whole scenario from t=0 with no snapshot."""
         specs = _replay_specs()
         oracle = run_chunk(list(specs))
+        store = ResultsStore(tmp_path)
         with cluster(2) as hosts:
-            results = ClusterExecutor(hosts, chunk_size=3).run(list(specs))
-        assert_results_equal(oracle, results)
+            executor = ClusterExecutor(hosts, chunk_size=3, snapshot_store=store)
+            cold = executor.run(list(specs))
+            warm = executor.run(list(specs))
+        assert any(i.payload == "snapshot" for i in store.artifacts())
+        assert_results_equal(oracle, cold)
+        assert_results_equal(oracle, warm)
 
     def test_content_addresses_match_process_pool(self, tmp_path):
         """Cluster and pool runs of one batch land at the same store key."""
