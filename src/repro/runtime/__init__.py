@@ -3,10 +3,11 @@
 The paper's figures are all "run N independent estimations of algorithm X
 on overlay Y under churn Z" — embarrassingly parallel work.  This package
 turns one such experiment into a batch of picklable
-:class:`~repro.runtime.trials.TrialSpec` units, shards them across a
-process pool (:class:`~repro.runtime.pool.TrialExecutor`) or a cluster of
-remote worker hosts (:class:`~repro.runtime.cluster.ClusterExecutor`,
-``docs/DISTRIBUTED.md``), and persists the
+:class:`~repro.runtime.trials.TrialSpec` units, shards them across local
+worker processes (:class:`~repro.runtime.pool.TrialExecutor`) or remote
+worker hosts (:class:`~repro.runtime.cluster.ClusterExecutor`,
+``docs/DISTRIBUTED.md``) — both through the one chunk scheduler of
+:mod:`~repro.runtime.cluster` — and persists the
 merged results in a content-addressed on-disk store
 (:class:`~repro.runtime.store.ResultsStore`) so repeated runs are cache
 hits.
@@ -36,6 +37,7 @@ from .cluster import (
     PROTOCOL_VERSION,
     ClusterExecutor,
     WorkerServer,
+    chunk_specs,
     parse_hosts,
 )
 from .faults import (
@@ -52,7 +54,7 @@ from .obs import (
     JournalReporter,
     PhaseAccumulator,
 )
-from .pool import SnapshotBackbone, TrialExecutor, chunk_specs
+from .pool import TrialExecutor
 from .progress import (
     EVENT_FIELDS,
     LogProgress,
@@ -66,6 +68,7 @@ from .snapshots import (
     SNAPSHOT_SCHEMA_VERSION,
     ProbeReplayState,
     RepairReplayState,
+    SnapshotBackbone,
     snapshot_config,
 )
 from .provenance import (

@@ -1,19 +1,21 @@
-"""Multi-host cluster executor: chunks fan out to remote workers over sockets.
+"""The chunk scheduler: trial chunks fan out to worker hosts over sockets.
 
-The cluster backend is the third executor behind :func:`~repro.runtime.api
-.run_trials` (after the serial loop and the process pool of
-:mod:`~repro.runtime.pool`) and honours the exact same contract: results
-are **bit-identical** to serial execution at any host count, with
-unchanged content addresses, because every trial derives its randomness
-from ``(hub_seed, index)`` alone and the merge is sorted by
+Every parallel batch runs here.  :class:`ClusterExecutor` drives remote
+``repro-experiment worker serve`` hosts, and the local process pool of
+:mod:`~repro.runtime.pool` is the same scheduler over
+:func:`loopback_workers` — worker processes forked on ``127.0.0.1:0`` —
+so planning, stealing, migration, exactly-once accounting and the
+all-hosts-lost fallback exist once.  The contract is the serial one:
+results are **bit-identical** to serial execution at any host count,
+with unchanged content addresses, because every trial derives its
+randomness from ``(hub_seed, index)`` alone and the merge is sorted by
 ``(index, stream)``.  Adding or removing hosts — even mid-batch, through
 failures — can never change what a batch computes, only where.
 
 Transport
 ---------
 Every message is one JSON frame of :mod:`repro.runtime.wire`
-(:func:`send_message` / :func:`recv_message`).  A worker is just
-``repro-experiment worker serve --bind HOST:PORT`` — it answers a
+(:func:`send_message` / :func:`recv_message`).  A worker answers a
 handshake, then runs :func:`~repro.runtime.trials.run_chunk` on every
 ``chunk`` message and replies with the results.  Workers are stateless
 between chunks: the specs (``as_config`` dicts) and the optional
@@ -47,20 +49,21 @@ dispatch threads are doing.
 
 Scheduling
 ----------
-The driver keeps the snapshot backbone (:class:`~repro.runtime.pool
-.SnapshotBackbone`) local: it resolves every chunk's predecessor-boundary
-snapshot up front and retains the payloads until the chunk completes, so
-a chunk can be re-shipped anywhere at any time.  Chunks are dealt into
-per-host queues — round-robin by default, or proportionally to observed
-per-trial latency once an executor has served a batch to every host
-(per-host chunk-size adaptation; see :meth:`ClusterExecutor._plan`).  One
-driver thread per host drains its own queue and, when idle, **steals from
-the tail** of the longest live queue (``steal`` event) — never from a host
-whose handshake has not completed yet or whose welcome pinned it.  A
-connection failure is retried with exponential backoff; once retries are
-exhausted — or the heartbeat monitor gives up first — the host is declared
-lost (``worker_lost``) and its queued + in-flight chunks **migrate** —
-each with its retained boundary snapshot — to the surviving hosts
+The batch is split into uniform chunks (:func:`plan_chunks`) dealt
+round-robin into per-host queues.  The driver keeps the snapshot
+backbone (:class:`~repro.runtime.snapshots.SnapshotBackbone`) local: the
+calling thread walks it in chunk order and publishes each chunk's
+predecessor-boundary snapshot as soon as it is ready, while the host
+threads already run earlier chunks; a host that claims a chunk waits for
+its payload.  Every payload is retained until the batch ends, so a chunk
+can be re-shipped anywhere at any time.  One driver thread per host
+drains its own queue and, when idle, **steals from the tail** of the
+longest live queue (``steal`` event) — never from a host whose handshake
+has not completed yet or whose welcome pinned it.  A connection failure
+is retried with exponential backoff; once retries are exhausted — or the
+heartbeat monitor gives up first — the host is declared lost
+(``worker_lost``) and its queued + in-flight chunks **migrate** — each
+with its retained boundary snapshot — to the surviving hosts
 (``chunk_migrated``).  If every host dies, the remaining chunks re-run
 serially in the driver (``partial_fallback``), keeping completed chunks.
 All of these events go through the one ``progress.emit`` pipeline
@@ -80,27 +83,33 @@ timeline.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import multiprocessing
 import os
 import socket
 import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import wire
 from .faults import WorkerFaults
-from .pool import CHUNKS_PER_WORKER, SnapshotBackbone, TrialExecutor, chunk_specs
 from .progress import NullProgress, ProgressReporter
-from .snapshots import SNAPSHOT_KINDS
+from .snapshots import SNAPSHOT_KINDS, SnapshotBackbone
 from .trials import TrialResult, TrialSpec, run_chunk
 
 __all__ = [
+    "CHUNKS_PER_WORKER",
     "ClusterExecutor",
     "PROTOCOL_VERSION",
     "WorkerServer",
+    "chunk_specs",
+    "loopback_workers",
     "parse_hosts",
+    "plan_chunks",
     "recv_message",
     "send_message",
 ]
@@ -108,6 +117,33 @@ __all__ = [
 #: The only version either side speaks; a hello carrying any other is
 #: refused.  v3 is the first with JSON frames (:mod:`repro.runtime.wire`).
 PROTOCOL_VERSION = 3
+
+#: Target chunks per host: enough slack for load balancing (chunks are
+#: not equal cost) without drowning in warm-up overhead.
+CHUNKS_PER_WORKER = 4
+
+
+def chunk_specs(
+    specs: Sequence[TrialSpec], chunk_size: int
+) -> List[List[TrialSpec]]:
+    """Split ``specs`` into consecutive chunks of at most ``chunk_size``.
+
+    Order is preserved: churn-replay kinds rely on a chunk holding a
+    contiguous index range so one replay serves all of its trials.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    return [list(specs[i : i + chunk_size]) for i in range(0, len(specs), chunk_size)]
+
+
+def plan_chunks(
+    specs: Sequence[TrialSpec], hosts: int, chunk_size: Optional[int] = None
+) -> List[List[TrialSpec]]:
+    """:func:`chunk_specs` at ``chunk_size``, by default into
+    ``hosts * CHUNKS_PER_WORKER`` chunks of equal size."""
+    if chunk_size is None:
+        chunk_size = max(1, math.ceil(len(specs) / (hosts * CHUNKS_PER_WORKER)))
+    return chunk_specs(specs, chunk_size)
 
 
 # ----------------------------------------------------------------------
@@ -546,6 +582,70 @@ class WorkerServer:
 
 
 # ----------------------------------------------------------------------
+# Loopback workers: the local process pool
+# ----------------------------------------------------------------------
+
+
+def _serve_loopback(server: WorkerServer, stop_read: int, stop_write: int) -> None:
+    """Body of one :func:`loopback_workers` child process."""
+    os.close(stop_write)
+
+    def watch_parent() -> None:
+        # EOF once the parent closes its end (batch over) or dies.
+        try:
+            os.read(stop_read, 1)
+        finally:
+            server.close()
+
+    threading.Thread(target=watch_parent, name="loopback-stop", daemon=True).start()
+    server.serve_forever()
+    for thread in server._threads:
+        thread.join(timeout=1.0)
+
+
+@contextlib.contextmanager
+def loopback_workers(count: int) -> Iterator[List[str]]:
+    """Fork ``count`` worker processes serving on ``127.0.0.1:0``; yield
+    their addresses.
+
+    Each child serves a listener bound before the fork, which the parent
+    then closes *without* ``shutdown`` (that would break the child's
+    ``accept`` too).  Children stop when the parent closes a shared pipe
+    — on leaving the context, or by dying — and are reaped here.
+    """
+    # Fork, not spawn: a child starts with the modules the parent already
+    # imported.  The caller forks before its batch starts any thread.
+    context = multiprocessing.get_context("fork")
+    stop_read, stop_write = os.pipe()
+    processes = []
+    addresses = []
+    try:
+        for index in range(count):
+            server = WorkerServer()
+            process = context.Process(
+                target=_serve_loopback,
+                args=(server, stop_read, stop_write),
+                name=f"repro-worker-{index}",
+                daemon=True,
+            )
+            try:
+                process.start()
+            finally:
+                server._listener.close()
+            processes.append(process)
+            addresses.append(server.address)
+        yield addresses
+    finally:
+        os.close(stop_read)
+        os.close(stop_write)
+        for process in processes:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - a wedged child
+                process.kill()
+                process.join()
+
+
+# ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 
@@ -615,22 +715,22 @@ class _WorkerSession:
 class _RunState:
     """Shared scheduler state for one batch (guarded by ``cond``)."""
 
-    def __init__(
-        self,
-        chunks: Sequence[Sequence[TrialSpec]],
-        hosts: Sequence[str],
-        dealt: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> None:
+    def __init__(self, chunks: Sequence[Sequence[TrialSpec]], hosts: Sequence[str]) -> None:
         self.cond = threading.Condition()
-        self.total_chunks = len(chunks)
+        self.chunks = chunks
         self.total_trials = sum(len(chunk) for chunk in chunks)
         self.queues: Dict[str, deque] = {host: deque() for host in hosts}
-        if dealt is None:
-            for i in range(len(chunks)):
-                self.queues[hosts[i % len(hosts)]].append(i)
-        else:
-            for host, ids in dealt.items():
-                self.queues[host].extend(ids)
+        for i in range(len(chunks)):
+            self.queues[hosts[i % len(hosts)]].append(i)
+        # Chunk i resumes from boundary ``boundaries[i]`` (``None``: no
+        # hand-off); its encoded snapshot ``payloads[i]`` is set once
+        # ``published > i`` and kept until the batch ends.
+        pipelined = len(chunks) > 1 and chunks[0][0].kind in SNAPSHOT_KINDS
+        self.boundaries: List[Optional[int]] = [
+            min(spec.index for spec in chunk) - 1 if pipelined else None for chunk in chunks
+        ]
+        self.payloads: List[Optional[wire.RawJSON]] = [None] * len(chunks)
+        self.published = 0 if pipelined else len(chunks)
         self.live = set(hosts)
         # Hosts whose dispatch handshake has completed.  Until then a
         # host's queue is not stealable: its welcome may still pin it.
@@ -653,11 +753,12 @@ class _RunState:
 
 
 class ClusterExecutor:
-    """Runs a batch of :class:`TrialSpec` across remote worker hosts.
+    """Runs a batch of :class:`TrialSpec` across worker hosts.
 
     Implements the same ``run(specs) -> [TrialResult]`` contract as
-    :class:`~repro.runtime.pool.TrialExecutor` — callers (and
-    :func:`~repro.runtime.api.run_trials`) cannot tell the two apart
+    :class:`~repro.runtime.pool.TrialExecutor`, which runs its parallel
+    batches through this class over :func:`loopback_workers` — callers
+    (and :func:`~repro.runtime.api.run_trials`) cannot tell the two apart
     except through progress events.  See the module docstring for the
     scheduling, liveness and failure semantics.
 
@@ -667,16 +768,13 @@ class ClusterExecutor:
         Worker addresses (``host:port`` strings, CSV string accepted).
     chunk_size:
         Trials per dispatched chunk (default: batch split into
-        ``len(hosts) * CHUNKS_PER_WORKER`` chunks, mirroring the pool —
-        or latency-proportional per-host sizes once adaptation has
-        history; an explicit value disables adaptation).
+        ``len(hosts) * CHUNKS_PER_WORKER`` chunks; see :func:`plan_chunks`).
     progress:
         Optional :class:`ProgressReporter`; cluster events are emitted as
         ``worker_connect`` / ``worker_lost`` / ``chunk_migrated`` /
         ``steal`` / ``heartbeat_miss``.
     snapshot_store:
-        Store boundary snapshots are cached in, exactly as on the pool
-        executor.
+        Store the boundary snapshots of churn-replay kinds are cached in.
     retries:
         Reconnection attempts per host before it is declared lost.
     backoff:
@@ -691,11 +789,6 @@ class ClusterExecutor:
         Consecutive missed pings before a host is declared lost; with
         the interval this bounds detection latency at roughly
         ``heartbeat_interval * heartbeat_misses`` seconds.
-    adaptive:
-        Adapt per-host chunk sizes to observed per-trial latency on the
-        *next* batch this executor runs (requires history for every
-        host, so the first batch is always dealt uniformly).  Results
-        are unaffected either way — only placement changes.
     """
 
     def __init__(
@@ -709,7 +802,6 @@ class ClusterExecutor:
         connect_timeout: float = 10.0,
         heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
-        adaptive: bool = True,
     ) -> None:
         self.hosts = parse_hosts(hosts)
         if not self.hosts:
@@ -734,16 +826,6 @@ class ClusterExecutor:
         self.connect_timeout = float(connect_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_misses = int(heartbeat_misses)
-        self.adaptive = bool(adaptive)
-        # EWMA of observed seconds-per-trial by host, fed by completed
-        # dispatches and consumed by _plan on the next batch.
-        self._latency: Dict[str, float] = {}
-        self._latency_lock = threading.Lock()
-
-    def _auto_chunk_size(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, math.ceil(total / (len(self.hosts) * CHUNKS_PER_WORKER)))
 
     def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
         """Execute the batch and return results in ``(index, stream)`` order."""
@@ -757,17 +839,17 @@ class ClusterExecutor:
                 "fallback",
                 reason="batch holds live objects that cannot be shipped to cluster workers",
             )
+            from .pool import TrialExecutor  # the pool module builds on this one
+
             return TrialExecutor(progress=self.progress).run(specs)
 
         started = time.perf_counter()
         self.progress.emit("batch_start", total=len(specs), workers=len(self.hosts))
-        chunks, dealt = self._plan(specs)
-        boundaries, payloads = self._boundary_payloads(chunks)
-        state = _RunState(chunks, self.hosts, dealt)
+        state = _RunState(plan_chunks(specs, len(self.hosts), self.chunk_size), self.hosts)
         threads = [
             threading.Thread(
                 target=self._serve_host,
-                args=(state, host, chunks, boundaries, payloads),
+                args=(state, host),
                 name=f"cluster-{host}",
                 daemon=True,
             )
@@ -784,20 +866,24 @@ class ClusterExecutor:
                 )
                 for host in self.hosts
             ]
-        for thread in threads:
+        for thread in threads + monitors:
             thread.start()
-        for monitor in monitors:
-            monitor.start()
-        for thread in threads:
-            thread.join()
-        state.finished.set()
-        with state.cond:
-            leftover_sessions = list(state.monitor_sessions.values())
-            state.monitor_sessions.clear()
-        for session in leftover_sessions:
-            session.close()
-        for monitor in monitors:
-            monitor.join(timeout=0.5)
+        try:
+            self._publish(state)
+        except BaseException as exc:
+            self._abort(state, None, -1, f"snapshot backbone failed: {exc!r}")
+            raise
+        finally:
+            for thread in threads:
+                thread.join()
+            state.finished.set()
+            with state.cond:
+                leftover_sessions = list(state.monitor_sessions.values())
+                state.monitor_sessions.clear()
+            for session in leftover_sessions:
+                session.close()
+            for monitor in monitors:
+                monitor.join(timeout=0.5)
 
         if state.error is not None:
             chunk_id, remote_error = state.error
@@ -805,13 +891,10 @@ class ClusterExecutor:
                 f"chunk {chunk_id} failed on a cluster worker:\n{remote_error}"
             )
 
-        leftover = [
-            i for i in range(len(chunks)) if i not in state.completed
-        ]
+        leftover = [i for i in range(len(state.chunks)) if i not in state.completed]
         if leftover:
-            # Every host died: finish in-driver, keeping completed chunks —
-            # the cluster analogue of the pool's mid-batch partial fallback.
-            remaining = sum(len(chunks[i]) for i in leftover)
+            # Every host died: finish in-driver, keeping completed chunks.
+            remaining = sum(len(state.chunks[i]) for i in leftover)
             self.progress.emit(
                 "partial_fallback",
                 done=state.done_trials,
@@ -824,10 +907,13 @@ class ClusterExecutor:
                     self.progress.emit(
                         "chunk_start",
                         chunk=chunk_id,
-                        trials=len(chunks[chunk_id]),
-                        boundary=boundaries[chunk_id],
+                        trials=len(state.chunks[chunk_id]),
+                        boundary=state.boundaries[chunk_id],
                     )
-                part = run_chunk(chunks[chunk_id], payloads.get(chunk_id))
+                payload = state.payloads[chunk_id]
+                part = run_chunk(
+                    state.chunks[chunk_id], None if payload is None else json.loads(payload)
+                )
                 self._record(state, None, chunk_id, part)
 
         results = [r for i in sorted(state.completed) for r in state.completed[i]]
@@ -837,98 +923,34 @@ class ClusterExecutor:
         )
         return results
 
-    # -- chunk planning ----------------------------------------------------
+    # -- snapshot hand-off -------------------------------------------------
 
-    def _plan(
-        self, specs: Sequence[TrialSpec]
-    ) -> Tuple[List[List[TrialSpec]], Optional[Dict[str, List[int]]]]:
-        """Split the batch into chunks and deal them to hosts.
-
-        Default plan: uniform ``_auto_chunk_size`` chunks dealt
-        round-robin (``dealt=None``).  Once adaptation has a latency
-        estimate for *every* host — i.e. from this executor's second
-        batch on — the batch is instead apportioned into contiguous
-        per-host blocks proportional to ``1/latency`` (largest-remainder
-        rounding), each block split into at most
-        :data:`CHUNKS_PER_WORKER` chunks, so a fast host gets more and
-        larger chunks and a straggler gets fewer and smaller ones.
-
-        Either way chunks partition ``specs`` contiguously in index
-        order, which keeps the snapshot backbone's boundary targets
-        monotonically increasing — a hard requirement of
-        :meth:`~repro.runtime.pool.SnapshotBackbone.payload_at`.
-        """
-        total = len(specs)
-        with self._latency_lock:
-            latency = dict(self._latency)
-        usable = (
-            self.chunk_size is None
-            and self.adaptive
-            and len(self.hosts) > 1
-            and all(latency.get(host, 0.0) > 0.0 for host in self.hosts)
-        )
-        if not usable:
-            return chunk_specs(specs, self._auto_chunk_size(total)), None
-        weights = {host: 1.0 / latency[host] for host in self.hosts}
-        scale = sum(weights.values())
-        quotas = {host: total * weights[host] / scale for host in self.hosts}
-        shares = {host: int(math.floor(quotas[host])) for host in self.hosts}
-        remainder = total - sum(shares.values())
-        by_fraction = sorted(
-            self.hosts,
-            key=lambda host: (shares[host] - quotas[host], self.hosts.index(host)),
-        )
-        for host in by_fraction[:remainder]:
-            shares[host] += 1
-        chunks: List[List[TrialSpec]] = []
-        dealt: Dict[str, List[int]] = {host: [] for host in self.hosts}
-        cursor = 0
-        for host in self.hosts:
-            block = list(specs[cursor : cursor + shares[host]])
-            cursor += shares[host]
-            if not block:
-                continue
-            size = max(1, math.ceil(len(block) / CHUNKS_PER_WORKER))
-            for piece in chunk_specs(block, size):
-                dealt[host].append(len(chunks))
-                chunks.append(piece)
-        return chunks, dealt
-
-    def _note_latency(self, host: str, seconds: float, trials: int) -> None:
-        """Fold one completed dispatch into the host's per-trial EWMA."""
-        if trials <= 0 or seconds < 0:
+    def _publish(self, state: _RunState) -> None:
+        """Walk the snapshot backbone in chunk order, publishing each payload
+        — encoded once, here — while the host threads run earlier chunks.
+        Stops early once the batch has failed."""
+        if state.published == len(state.chunks):
             return
-        per_trial = seconds / trials
-        with self._latency_lock:
-            previous = self._latency.get(host)
-            if previous is None:
-                self._latency[host] = per_trial
-            else:
-                self._latency[host] = 0.5 * previous + 0.5 * per_trial
+        backbone = SnapshotBackbone(state.chunks[0][0], self.snapshot_store, self.progress)
+        for i, target in enumerate(state.boundaries):
+            if state.error is not None:
+                return
+            snapshot = backbone.payload_at(target)
+            payload = None if snapshot is None else wire.RawJSON.of(snapshot)
+            with state.cond:
+                state.payloads[i] = payload
+                state.published = i + 1
+                state.cond.notify_all()
 
-    def _boundary_payloads(
-        self, chunks: Sequence[Sequence[TrialSpec]]
-    ) -> Tuple[Dict[int, Optional[int]], Dict[int, Optional[Mapping[str, Any]]]]:
-        """Resolve every chunk's hand-off snapshot before dispatch begins.
-
-        Unlike the pool — where a boundary payload is consumed by exactly
-        one submission — the cluster retains all payloads for the whole
-        batch, because any chunk may need re-shipping to a different host
-        after a failure.  The backbone advance is the same single
-        O(horizon) pass either way.
-        """
-        boundaries: Dict[int, Optional[int]] = {i: None for i in range(len(chunks))}
-        payloads: Dict[int, Optional[Mapping[str, Any]]] = {
-            i: None for i in range(len(chunks))
-        }
-        if len(chunks) < 2 or chunks[0][0].kind not in SNAPSHOT_KINDS:
-            return boundaries, payloads
-        backbone = SnapshotBackbone(chunks[0][0], self.snapshot_store, self.progress)
-        for i, chunk in enumerate(chunks):
-            target = min(spec.index for spec in chunk) - 1
-            boundaries[i] = target
-            payloads[i] = backbone.payload_at(target)
-        return boundaries, payloads
+    def _await_payload(self, state: _RunState, host: str, chunk_id: int) -> bool:
+        """Block until ``chunk_id``'s payload is published; False when the
+        batch failed or ``host`` was lost meanwhile (its chunk migrated)."""
+        with state.cond:
+            while state.published <= chunk_id:
+                if state.error is not None or host not in state.live:
+                    return False
+                state.cond.wait()
+            return True
 
     # -- heartbeat monitor -------------------------------------------------
 
@@ -1006,19 +1028,12 @@ class ClusterExecutor:
 
     # -- per-host driver thread --------------------------------------------
 
-    def _serve_host(
-        self,
-        state: _RunState,
-        host: str,
-        chunks: Sequence[Sequence[TrialSpec]],
-        boundaries: Mapping[int, Optional[int]],
-        payloads: Mapping[int, Optional[Mapping[str, Any]]],
-    ) -> None:
+    def _serve_host(self, state: _RunState, host: str) -> None:
         session: Optional[_WorkerSession] = None
         failures = 0
         try:
             while True:
-                chunk_id = self._claim(state, host, chunks, boundaries)
+                chunk_id = self._claim(state, host)
                 if chunk_id is None:
                     return
                 try:
@@ -1031,16 +1046,16 @@ class ClusterExecutor:
                                 state.pinned.add(host)
                             self.progress.emit("worker_connect", host=host, pid=session.pid)
                             state.cond.notify_all()
-                    dispatched = time.perf_counter()
+                    if not self._await_payload(state, host, chunk_id):
+                        return
                     reply = session.request(
                         {
                             "type": "chunk",
                             "chunk": chunk_id,
-                            "specs": [spec.as_config() for spec in chunks[chunk_id]],
-                            "snapshot": payloads.get(chunk_id),
+                            "specs": [spec.as_config() for spec in state.chunks[chunk_id]],
+                            "snapshot": state.payloads[chunk_id],
                         }
                     )
-                    elapsed = time.perf_counter() - dispatched
                     results = (
                         _results_from_payload(reply.get("results"))
                         if reply.get("type") == "result"
@@ -1074,7 +1089,6 @@ class ClusterExecutor:
                     return
                 failures = 0
                 if results is not None:
-                    self._note_latency(host, elapsed, len(chunks[chunk_id]))
                     self._record(state, host, chunk_id, results)
                 else:
                     # A worker-side exception is deterministic — the chunk
@@ -1089,13 +1103,7 @@ class ClusterExecutor:
             if session is not None:
                 session.close(polite=True)
 
-    def _claim(
-        self,
-        state: _RunState,
-        host: str,
-        chunks: Sequence[Sequence[TrialSpec]],
-        boundaries: Mapping[int, Optional[int]],
-    ) -> Optional[int]:
+    def _claim(self, state: _RunState, host: str) -> Optional[int]:
         """Pop this host's next chunk, stealing from a busy peer when idle.
 
         Blocks while other live hosts still have queued or in-flight work
@@ -1133,11 +1141,11 @@ class ClusterExecutor:
                         self.progress.emit(
                             "chunk_start",
                             chunk=chunk_id,
-                            trials=len(chunks[chunk_id]),
-                            boundary=boundaries[chunk_id],
+                            trials=len(state.chunks[chunk_id]),
+                            boundary=state.boundaries[chunk_id],
                         )
                     return chunk_id
-                if len(state.completed) == state.total_chunks:
+                if len(state.completed) == len(state.chunks):
                     return None
                 pending_elsewhere = any(
                     h != host and (h in state.in_flight or state.queues[h])
@@ -1147,7 +1155,9 @@ class ClusterExecutor:
                     return None
                 state.cond.wait(timeout=0.05)
 
-    def _abort(self, state: _RunState, host: str, chunk_id: int, error: str) -> None:
+    def _abort(
+        self, state: _RunState, host: Optional[str], chunk_id: int, error: str
+    ) -> None:
         """Fail the batch with ``error`` (the first abort wins)."""
         with state.cond:
             if state.error is None:

@@ -34,7 +34,7 @@ Fault kinds (:data:`FAULT_KINDS`):
     first ``after`` — a worker whose accept queue is wedged.
 ``slow_host``
     Every chunk takes ``seconds`` extra — a deterministic straggler for
-    the stealing and chunk-size-adaptation paths.
+    the stealing path.
 ``drop_frame`` / ``delay_frame`` / ``truncate_frame``
     The worker's ``after``-th result frame (0-based) is swallowed,
     delayed by ``seconds``, or cut off mid-payload — wire-level faults
@@ -45,7 +45,11 @@ Schedule-proof triggers: a worker carrying a kill or frame fault says so
 in its handshake (:attr:`WorkerFaults.pins_work`), and the driver never
 steals its queued chunks, so the counted chunks and frames reach it
 whatever the steal order.  The kill lands while a chunk is in flight, so
-the driver always observes the loss and migrates that chunk.
+the driver always observes the loss and migrates that chunk.  Chunks are
+dealt round-robin (:func:`dealt_chunks`), so whether a counted fault can
+fire at all is known before the run: :meth:`FaultPlan.unreachable` lists
+the faults whose count exceeds their host's deal, and
+:meth:`FaultPlan.random` only draws counts within it.
 
 Determinism contract: faults only ever change *where and when* chunks
 run, never what they compute — under every plan the batch's results must
@@ -66,6 +70,7 @@ __all__ = [
     "FrameFault",
     "WorkerFaults",
     "chaos_matrix",
+    "dealt_chunks",
 ]
 
 #: The closed set of injectable fault kinds.
@@ -91,6 +96,14 @@ _COUNTED = {
 
 #: Kinds whose ``seconds`` field is meaningful.
 _TIMED = ("slow_host", "delay_frame")
+
+#: Kinds that fault one result frame, addressed by its 0-based index.
+_FRAME_KINDS = ("drop_frame", "delay_frame", "truncate_frame")
+
+
+def dealt_chunks(host: int, hosts: int, chunks: int) -> int:
+    """Chunks the round-robin deal gives worker ``host`` of ``hosts``."""
+    return len(range(host, chunks, hosts)) if 0 <= host < hosts else 0
 
 
 @dataclass(frozen=True)
@@ -137,6 +150,15 @@ class Fault:
             "after": int(self.after),
             "seconds": float(self.seconds),
         }
+
+    def chunks_needed(self) -> int:
+        """Chunks its host must be dealt for this fault to fire (0: the
+        kind does not count chunks; a kill with ``after=0`` needs one)."""
+        if self.kind == "kill_worker":
+            return max(self.after, 1)
+        if self.kind in _FRAME_KINDS:
+            return self.after + 1
+        return 0
 
     def describe(self) -> str:
         """One-line human description (journal ``detail`` field)."""
@@ -235,6 +257,15 @@ class FaultPlan:
         """Sorted worker indices any event targets."""
         return tuple(sorted({event.host for event in self.events}))
 
+    def unreachable(self, hosts: int, chunks: int) -> Tuple[Fault, ...]:
+        """Events that cannot fire: their count exceeds their host's deal
+        when ``chunks`` chunks are dealt round-robin to ``hosts`` workers."""
+        return tuple(
+            event
+            for event in self.events
+            if event.chunks_needed() > dealt_chunks(event.host, hosts, chunks)
+        )
+
     def as_config(self) -> Dict[str, Any]:
         """Pure-data form for journals and reproduction."""
         return {
@@ -254,16 +285,16 @@ class FaultPlan:
 
     @classmethod
     def random(
-        cls, seed: int, hosts: int = 3, events: int = 2, name: str = ""
+        cls, seed: int, hosts: int = 3, events: int = 2, name: str = "", *, chunks: int
     ) -> "FaultPlan":
         """A seed-reproducible random plan over ``hosts`` workers.
 
-        The same ``(seed, hosts, events)`` always yields the same plan —
-        soak tests iterate seeds to walk a reproducible fault space.  At
-        most one fault lands per host (faults on distinct hosts compose
-        predictably; stacking several on one host mostly shadows them),
-        and kill faults are never drawn for host 0 so at least one worker
-        survives every random plan.
+        The same arguments always yield the same plan — soak tests iterate
+        seeds to walk a reproducible fault space.  At most one fault lands
+        per host (faults on distinct hosts compose predictably; stacking
+        several on one host mostly shadows them), kill faults are never
+        drawn for host 0 so at least one worker survives every random
+        plan, and counts stay within the deal of a ``chunks``-chunk batch.
         """
         if hosts < 1:
             raise ValueError(f"need at least one host, got {hosts}")
@@ -271,9 +302,15 @@ class FaultPlan:
         targets = rng.sample(range(hosts), k=min(int(events), hosts))
         drawn: List[Fault] = []
         for host in targets:
-            kinds = [k for k in FAULT_KINDS if host != 0 or k != "kill_worker"]
+            deal = dealt_chunks(host, hosts, chunks)
+            # Draw counts below ``top``: within the deal for the kinds
+            # that count this host's chunks.
+            top = {"kill_worker": deal + 1 if deal else 0, **dict.fromkeys(_FRAME_KINDS, deal)}
+            kinds = [
+                k for k in FAULT_KINDS if top.get(k, 3) and (host != 0 or k != "kill_worker")
+            ]
             kind = rng.choice(kinds)
-            after = rng.randrange(0, 3)
+            after = rng.randrange(0, top.get(kind, 3))
             seconds = round(rng.uniform(0.05, 0.3), 3) if kind in _TIMED else 0.0
             drawn.append(Fault(kind, host=host, after=after, seconds=seconds))
         return cls(

@@ -29,17 +29,23 @@ This module makes the scenario state an explicit, transferable object:
   worker count, chunking), so snapshots are shared across every batch
   that replays the same scenario.  Result artifacts keep their own,
   untouched addresses: enabling snapshots never invalidates a cached
-  result.
+  result;
+* :class:`SnapshotBackbone` is the one driver-side replay that produces
+  those boundary payloads in chunk order (store lookups first, saves
+  after).
 
 The chunk hand-off lifecycle, its invariants, and the replay-cost
-arithmetic are documented in ``docs/SNAPSHOTS.md``; the executor-side
-pipeline lives in :mod:`repro.runtime.pool`.
+arithmetic are documented in ``docs/SNAPSHOTS.md``; the scheduler that
+publishes the backbone's payloads to chunks while they run lives in
+:mod:`repro.runtime.cluster` and serves the local worker pool and remote
+hosts alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Mapping, Tuple
+import time
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..churn.models import ChurnEvent, ChurnTrace
 from ..churn.scheduler import ChurnScheduler
@@ -49,12 +55,14 @@ from ..overlay.repair import RepairPolicySpec
 from ..sim.messages import MessageMeter
 from ..sim.rng import RngHub, generator_from_state
 from ..sim.rounds import RoundDriver
+from .progress import NullProgress, ProgressReporter
 
 __all__ = [
     "SNAPSHOT_KINDS",
     "SNAPSHOT_SCHEMA_VERSION",
     "ProbeReplayState",
     "RepairReplayState",
+    "SnapshotBackbone",
     "replay_state_for",
     "snapshot_config",
 ]
@@ -378,3 +386,95 @@ def snapshot_config(spec, index: int) -> Dict[str, Any]:
         "params": params,
         "index": int(index),
     }
+
+
+class SnapshotBackbone:
+    """Driver-side churn-only replay feeding boundary snapshots to chunks.
+
+    The chunk scheduler of :mod:`~repro.runtime.cluster` drives one of
+    these per churn-replay batch, on the driver thread, publishing each
+    hand-off payload while earlier chunks already run.
+    One instance serves one pipelined batch: it advances a single replay
+    state through the chunk boundaries in order (O(horizon) total work)
+    and captures a pure-data snapshot at each.  When a store is attached,
+    boundaries are looked up before computing and saved after — the
+    content address (:func:`snapshot_config`)
+    covers only the scenario prefix, so any batch replaying the same
+    scenario shares them.  Store hits are adopted lazily: the payload is
+    handed out immediately and only materialized into a live state if a
+    later boundary misses and must be advanced to.
+    """
+
+    def __init__(
+        self, spec, store, progress: Optional[ProgressReporter] = None
+    ) -> None:
+        self.spec = spec
+        self.store = store
+        self.progress = progress if progress is not None else NullProgress()
+        self.state_cls = SNAPSHOT_KINDS[spec.kind]
+        self._state = None
+        self._adopt: Optional[Mapping[str, Any]] = None
+        self._save_error_reported = False
+
+    def payload_at(self, target: int) -> Optional[Mapping[str, Any]]:
+        """Snapshot payload at boundary ``target`` (``None`` = no hand-off).
+
+        Boundary 0 is the freshly built scenario before any churn — worth
+        handing off too, because restoring an overlay from pure data is an
+        order of magnitude cheaper than rebuilding it from its RNG stream.
+        Returns ``None`` for negative boundaries and for non-monotone
+        chunk layouts the backbone cannot serve — the chunk then falls
+        back to prefix replay, which is always correct.
+
+        Every resolution is reported as a ``snapshot_boundary`` event; a
+        failed best-effort save (read-only store) is surfaced once per
+        backbone as ``snapshot_save_error`` instead of being silently
+        dropped.
+        """
+        begin = time.perf_counter()
+        if target < 0:
+            self.progress.emit("snapshot_boundary", target=target, seconds=0.0, outcome="skipped")
+            return None
+        config = snapshot_config(self.spec, target)
+        if self.store is not None:
+            cached = self.store.load_snapshot(config)
+            if cached is not None:
+                self._adopt = cached
+                self.progress.emit(
+                    "snapshot_boundary",
+                    target=target,
+                    seconds=time.perf_counter() - begin,
+                    outcome="hit",
+                )
+                return cached
+        if self._adopt is not None:
+            self._state = self.state_cls.restore(self.spec, self._adopt)
+            self._adopt = None
+        if self._state is None:
+            self._state = self.state_cls.boot(self.spec)
+        if target < self._state.position:
+            self.progress.emit(
+                "snapshot_boundary",
+                target=target,
+                seconds=time.perf_counter() - begin,
+                outcome="skipped",
+            )
+            return None
+        self._state.advance(target)
+        payload = self._state.snapshot()
+        if self.store is not None:
+            try:
+                self.store.save_snapshot(
+                    config, payload, meta={"tag": f"snapshot:{self.spec.kind}"}
+                )
+            except OSError as exc:  # read-only store: snapshots are best-effort
+                if not self._save_error_reported:
+                    self._save_error_reported = True
+                    self.progress.emit("snapshot_save_error", error=str(exc))
+        self.progress.emit(
+            "snapshot_boundary",
+            target=target,
+            seconds=time.perf_counter() - begin,
+            outcome="computed",
+        )
+        return payload

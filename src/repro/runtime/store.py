@@ -267,6 +267,46 @@ class ResultsStore:
 
     # -- IO ------------------------------------------------------------
 
+    #: Largest artifact a read parses (checked by ``fstat`` first); a
+    #: bigger one is a miss, never an unbounded parse.
+    MAX_ARTIFACT_BYTES = 512 * 1024 * 1024
+
+    def _write_artifact(
+        self, config: Any, meta: Dict[str, Any], body: Dict[str, Any]
+    ) -> pathlib.Path:
+        """Atomically write ``config``'s artifact, provenance stamped into
+        ``meta``.  The header leads so :meth:`artifacts` reads prefixes."""
+        path = self.path_for(config)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        meta.setdefault("git_revision", detect_git_revision())
+        meta.setdefault("store_schema_version", SCHEMA_VERSION)
+        meta.setdefault("saved_at", time.time())
+        artifact = {"schema": SCHEMA_VERSION, "meta": meta, "config": _normalize(config), **body}
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(artifact, fh, allow_nan=False)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return path
+
+    def _read_artifact(self, path: pathlib.Path, body: str) -> Optional[Any]:
+        """The ``body`` of the artifact at ``path``; ``None`` when it is
+        missing, oversize, unreadable, of another schema or has no ``body``."""
+        try:
+            with path.open("rb") as fh:
+                if os.fstat(fh.fileno()).st_size > self.MAX_ARTIFACT_BYTES:
+                    return None
+                artifact = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        if not isinstance(artifact, dict) or artifact.get("schema") != SCHEMA_VERSION:
+            return None
+        return _decode_floats(artifact[body]) if body in artifact else None
+
     def save(
         self,
         config: Any,
@@ -282,54 +322,26 @@ class ResultsStore:
         routed through :func:`~repro.runtime.api.run_trials` — yields an
         artifact the trend tracker can join on without parsing results.
         """
-        path = self.path_for(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta = dict(meta or {})
-        meta.setdefault("git_revision", detect_git_revision())
-        meta.setdefault("store_schema_version", SCHEMA_VERSION)
         meta.setdefault("group", group_key(config))
-        meta.setdefault("saved_at", time.time())
         meta.setdefault("metrics", summarize_results(results))
-        # Key order matters: schema and meta lead the document so that
-        # artifacts() can enumerate a large store by reading bounded
-        # prefixes instead of parsing every results payload.
-        artifact = {
-            "schema": SCHEMA_VERSION,
-            "meta": meta,
-            "config": _normalize(config),
-            "results": _encode_floats([r.as_dict() for r in results]),
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(artifact, fh, allow_nan=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return self._write_artifact(
+            config, meta, {"results": _encode_floats([r.as_dict() for r in results])}
+        )
 
     def load(self, config: Any) -> Optional[List[TrialResult]]:
         """Results previously saved for ``config``, or ``None`` on a miss.
 
-        Unreadable or schema-mismatched artifacts are misses, never
-        errors: the store must always be safe to point at a stale cache
-        directory.
+        Unreadable, oversize or schema-mismatched artifacts are misses,
+        never errors: the store must always be safe to point at a stale
+        cache directory.  A hit bumps the artifact's atime.
         """
         path = self.path_for(config)
-        try:
-            with path.open() as fh:
-                artifact = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if artifact.get("schema") != SCHEMA_VERSION:
+        payload = self._read_artifact(path, "results")
+        if payload is None:
             return None
         try:
-            results = [
-                TrialResult.from_dict(item)
-                for item in _decode_floats(artifact["results"])
-            ]
+            results = [TrialResult.from_dict(item) for item in payload]
         except (KeyError, TypeError, ValueError):
             return None
         self._record_hit(path)
@@ -365,46 +377,20 @@ class ResultsStore:
         treats both uniformly — snapshots are pure accelerators that can
         always be recomputed.
         """
-        path = self.path_for(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta = dict(meta or {})
         meta["payload"] = "snapshot"
-        meta.setdefault("git_revision", detect_git_revision())
-        meta.setdefault("store_schema_version", SCHEMA_VERSION)
-        meta.setdefault("saved_at", time.time())
-        artifact = {
-            "schema": SCHEMA_VERSION,
-            "meta": meta,
-            "config": _normalize(config),
-            "snapshot": _encode_floats(payload),
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(artifact, fh, allow_nan=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return self._write_artifact(config, meta, {"snapshot": _encode_floats(payload)})
 
     def load_snapshot(self, config: Any) -> Optional[Any]:
         """A snapshot previously saved for ``config``, or ``None`` on a miss.
 
-        Like :meth:`load`, unreadable or schema-mismatched artifacts are
-        misses, never errors, and a hit bumps the artifact's atime.
+        Misses and hits are as in :meth:`load`.
         """
         path = self.path_for(config)
-        try:
-            with path.open() as fh:
-                artifact = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if artifact.get("schema") != SCHEMA_VERSION or "snapshot" not in artifact:
-            return None
-        self._record_hit(path)
-        return _decode_floats(artifact["snapshot"])
+        snapshot = self._read_artifact(path, "snapshot")
+        if snapshot is not None:
+            self._record_hit(path)
+        return snapshot
 
     def contains(self, config: Any) -> bool:
         """True when an artifact for ``config`` exists on disk."""
@@ -442,7 +428,8 @@ class ResultsStore:
         Artifacts are written with ``schema`` and ``meta`` leading the
         document, so for large files a bounded prefix up to the ``config``
         key parses on its own; anything surprising (pre-reorder key
-        layout, oversized meta, corrupt JSON) falls back to a full parse.
+        layout, oversized meta, corrupt JSON) falls back to a full parse,
+        bounded like every read by :attr:`MAX_ARTIFACT_BYTES`.
         """
         prefix = fh.read(cls._HEADER_PROBE_BYTES)
         if len(prefix) == cls._HEADER_PROBE_BYTES:
@@ -454,6 +441,8 @@ class ResultsStore:
                     head = None
                 if isinstance(head, dict) and "schema" in head and "meta" in head:
                     return head
+            if os.fstat(fh.fileno()).st_size > cls.MAX_ARTIFACT_BYTES:
+                raise ValueError("artifact exceeds MAX_ARTIFACT_BYTES")
             prefix += fh.read()
         return json.loads(prefix)
 

@@ -22,7 +22,7 @@ import socket
 import struct
 from typing import Any, Dict, List, Mapping
 
-__all__ = ["HEADER", "MAX_FRAME_BYTES", "FrameError", "encode", "recv", "send"]
+__all__ = ["HEADER", "MAX_FRAME_BYTES", "FrameError", "RawJSON", "encode", "recv", "send"]
 
 #: 8-byte big-endian unsigned length prefix framing every message.
 HEADER = struct.Struct(">Q")
@@ -37,13 +37,33 @@ class FrameError(OSError):
     """A frame that cannot be decoded: oversize, not UTF-8 JSON, or not an object."""
 
 
-def encode(message: Mapping[str, Any]) -> bytes:
-    """The exact bytes :func:`send` puts on the wire for ``message``."""
+def _dumps(value: Any) -> str:
     # Messages are trees built by this program, so the encoder's cycle
     # check is skipped: it costs ~20% on a 100k-node boundary snapshot.
-    payload = json.dumps(
-        dict(message), separators=(",", ":"), check_circular=False
-    ).encode("utf-8")
+    return json.dumps(value, separators=(",", ":"), check_circular=False)
+
+
+class RawJSON(str):
+    """JSON text that :func:`encode` embeds verbatim as a message value.
+
+    A large value encoded once (:meth:`of`) can travel in many frames —
+    a boundary snapshot re-shipped after a migration — without being
+    encoded again.  The frame bytes are those of the plain value.
+    """
+
+    @classmethod
+    def of(cls, value: Any) -> "RawJSON":
+        """``value`` encoded as :func:`encode` would encode it."""
+        return cls(_dumps(value))
+
+
+def encode(message: Mapping[str, Any]) -> bytes:
+    """The exact bytes :func:`send` puts on the wire for ``message``."""
+    fields = ",".join(
+        f"{_dumps(str(key))}:{value if isinstance(value, RawJSON) else _dumps(value)}"
+        for key, value in message.items()
+    )
+    payload = ("{" + fields + "}").encode("utf-8")
     return HEADER.pack(len(payload)) + payload
 
 

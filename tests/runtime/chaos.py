@@ -7,13 +7,15 @@ loopback cluster whose workers carry a plan's compiled faults, drives a
 batch through :class:`~repro.runtime.cluster.ClusterExecutor` under a
 tight heartbeat, and checks the invariants every chaos run must uphold —
 results bit-identical to serial, content addresses unchanged, every
-chunk accounted for exactly once, and (when journalled) a timeline
-``obs validate`` accepts.
+chunk accounted for exactly once, every planned kill and frame fault
+fired, and (when journalled) a timeline ``obs validate`` accepts.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ from repro.runtime import (
     TelemetryCollector,
     WorkerServer,
 )
+from repro.runtime.cluster import plan_chunks
 from repro.runtime.faults import FaultPlan
 from repro.runtime.progress import TeeProgress
 from repro.runtime.store import content_key
@@ -50,6 +53,47 @@ class TimedTelemetry(TelemetryCollector):
             if ev["event"] == kind:
                 return ev["at"]
         return None
+
+
+class WorkerKiller(TelemetryCollector):
+    """Telemetry that SIGKILLs local pool workers mid-batch.
+
+    The pool's workers are loopback hosts, so their pids arrive in
+    ``worker_connect`` events.  The victims are the first ``victims``
+    workers to connect (``None``: all of them).  They die together as
+    soon as one of them has completed a chunk — so each test run has
+    completed work on a dead host — and with ``victims=None`` a worker
+    connecting after that dies at once.  ``done_before_kill`` holds the
+    chunks completed before the kill.
+    """
+
+    def __init__(self, victims: Optional[int] = None) -> None:
+        super().__init__()
+        self.victims = victims
+        self.pids: List[int] = []
+        self.killed: List[int] = []
+        self.done_before_kill: List[int] = []
+
+    def emit(self, event: str, **fields: Any) -> None:
+        """Record the event, then kill victims when it is due."""
+        super().emit(event, **fields)
+        if event == "worker_connect":
+            self.pids.append(fields["pid"])
+            if self.killed:
+                self._kill()
+        elif event == "chunk_done" and not self.killed:
+            self.done_before_kill.append(fields["chunk"])
+            if fields["results"][0].profile["chunk"]["pid"] in self._targets():
+                self._kill()
+
+    def _targets(self) -> List[int]:
+        return self.pids if self.victims is None else self.pids[: self.victims]
+
+    def _kill(self) -> None:
+        for pid in self._targets():
+            if pid not in self.killed:
+                os.kill(pid, signal.SIGKILL)
+                self.killed.append(pid)
 
 
 @dataclass
@@ -96,8 +140,17 @@ def run_chaos(
     and reports injected faults into the shared telemetry (and journal,
     when ``journal_path`` is given).  ``retries=0`` by default so a
     transport fault converts to a loss immediately instead of racing the
-    backoff against healthy peers draining the queue.
+    backoff against healthy peers draining the queue.  A plan with a kill
+    or frame fault its host's round-robin deal cannot reach is rejected
+    with :class:`ValueError` before any worker starts.
     """
+    chunks = len(plan_chunks(list(specs), hosts, chunk_size))
+    unreachable = plan.unreachable(hosts, chunks)
+    if unreachable:
+        raise ValueError(
+            f"{plan.describe()}: unreachable with {chunks} chunks on {hosts} hosts: "
+            + "; ".join(fault.describe() for fault in unreachable)
+        )
     telemetry = TimedTelemetry()
     reporters = [telemetry]
     journal: Optional[JournalReporter] = None
@@ -171,7 +224,8 @@ def assert_chaos_invariants(run: ChaosRun, serial: Sequence[Any]) -> None:
        work around, they never change what it computes.
     3. Every chunk is announced exactly once and completed exactly once,
        and the completed trials add up to the whole batch.
-    4. When the run was journalled, ``obs validate`` accepts it.
+    4. Every planned kill and frame fault fired (``fault_injected``).
+    5. When the run was journalled, ``obs validate`` accepts it.
     """
     assert len(run.results) == len(serial), (
         f"{run.plan.describe()}: {len(run.results)} results != {len(serial)}"
@@ -198,6 +252,13 @@ def assert_chaos_invariants(run: ChaosRun, serial: Sequence[Any]) -> None:
     assert sum(e["trials"] for e in run.events("chunk_done")) == len(serial), (
         f"{run.plan.describe()}: completed trials do not add up to the batch"
     )
+
+    injected = {(e["host"], e["kind"]) for e in run.events("fault_injected")}
+    for fault in run.plan.events:
+        if fault.chunks_needed():
+            assert (run.host_address(fault.host), fault.kind) in injected, (
+                f"{run.plan.describe()}: planned {fault.describe()} never fired"
+            )
 
     if run.journal:
         problems = validate_journal(run.journal)

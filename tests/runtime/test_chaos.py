@@ -25,7 +25,7 @@ from repro.runtime import (
     WorkerServer,
     run_chunk,
 )
-from repro.runtime.cluster import _WorkerSession
+from repro.runtime.cluster import _RunState, _WorkerSession, plan_chunks
 from repro.runtime.faults import (
     FAULT_KINDS,
     Fault,
@@ -33,6 +33,7 @@ from repro.runtime.faults import (
     FrameFault,
     WorkerFaults,
     chaos_matrix,
+    dealt_chunks,
 )
 
 N = 300
@@ -54,14 +55,14 @@ def _specs(count=12, seed=7):
 
 class TestFaultPlans:
     def test_random_plans_are_seed_reproducible(self):
-        a = FaultPlan.random(42, hosts=3, events=2)
-        b = FaultPlan.random(42, hosts=3, events=2)
+        a = FaultPlan.random(42, hosts=3, events=2, chunks=6)
+        b = FaultPlan.random(42, hosts=3, events=2, chunks=6)
         assert a == b
-        assert FaultPlan.random(43, hosts=3, events=2) != a
+        assert FaultPlan.random(43, hosts=3, events=2, chunks=6) != a
 
     def test_random_plans_never_kill_host_zero(self):
         for seed in range(50):
-            plan = FaultPlan.random(seed, hosts=3, events=3)
+            plan = FaultPlan.random(seed, hosts=3, events=3, chunks=6)
             assert not any(
                 e.kind == "kill_worker" and e.host == 0 for e in plan.events
             )
@@ -69,7 +70,7 @@ class TestFaultPlans:
     def test_config_round_trip(self):
         plan = chaos_matrix()["kill_worker"]
         assert FaultPlan.from_config(plan.as_config()) == plan
-        soak = FaultPlan.random(7, hosts=4, events=3)
+        soak = FaultPlan.random(7, hosts=4, events=3, chunks=6)
         assert FaultPlan.from_config(soak.as_config()) == soak
 
     def test_matrix_names_the_acceptance_failure_classes(self):
@@ -108,6 +109,33 @@ class TestFaultPlans:
         assert zero.frame_fault_at(3).mode == "truncate"
         assert one == WorkerFaults(kill_after_chunks=2)
         assert plan.hosts_touched() == (0, 1)
+
+    def test_random_plans_draw_within_the_deal(self):
+        for chunks in (1, 2, 4, 7):
+            for seed in range(40):
+                plan = FaultPlan.random(seed, hosts=3, events=3, chunks=chunks)
+                assert plan.unreachable(3, chunks) == ()
+
+    def test_unreachable_lists_counts_beyond_the_deal(self):
+        # 4 chunks on 3 hosts: host 0 is dealt 2, hosts 1 and 2 one each.
+        assert [dealt_chunks(h, 3, 4) for h in range(4)] == [2, 1, 1, 0]
+        kill = Fault("kill_worker", host=1, after=2)
+        frame = Fault("drop_frame", host=0, after=2)
+        plan = FaultPlan(
+            events=(
+                kill,
+                frame,
+                Fault("kill_worker", host=2, after=1),
+                Fault("truncate_frame", host=0, after=1),
+                Fault("stall_heartbeat", host=1, after=9),
+            )
+        )
+        assert plan.unreachable(3, 4) == (kill, frame)
+
+    def test_run_chaos_rejects_an_unreachable_plan(self):
+        plan = FaultPlan(events=(Fault("kill_worker", host=1, after=2),))
+        with pytest.raises(ValueError, match="unreachable"):
+            chaos.run_chaos(plan, _specs(), hosts=3)
 
     def test_every_kind_describes_itself(self):
         for kind in FAULT_KINDS:
@@ -302,74 +330,14 @@ class TestHeartbeatDetectionBound:
 
 class TestChunkSizeAdaptation:
     def test_first_batch_plans_uniformly(self):
-        executor = ClusterExecutor(["a:1", "b:2"], chunk_size=None)
-        chunks, dealt = executor._plan(_specs())
-        assert dealt is None
+        chunks = plan_chunks(_specs(), hosts=2)
+        assert [len(chunk) for chunk in chunks] == [2] * 6
         assert [s.index for chunk in chunks for s in chunk] == list(range(1, 13))
-
-    def test_explicit_chunk_size_disables_adaptation(self):
-        executor = ClusterExecutor(["a:1", "b:2"], chunk_size=3)
-        executor._note_latency("a:1", 3.0, 10)
-        executor._note_latency("b:2", 1.0, 10)
-        _chunks, dealt = executor._plan(_specs())
-        assert dealt is None
-
-    def test_plan_apportions_inverse_to_latency(self):
-        executor = ClusterExecutor(["a:1", "b:2"], chunk_size=None)
-        executor._note_latency("a:1", 3.0, 10)  # 0.3 s/trial
-        executor._note_latency("b:2", 1.0, 10)  # 0.1 s/trial
-        specs = _specs()
-        chunks, dealt = executor._plan(specs)
-        assert dealt is not None
-        trials = {
-            host: sum(len(chunks[i]) for i in ids) for host, ids in dealt.items()
+        state = _RunState(chunks, ["a:1", "b:2"])
+        assert {host: list(queue) for host, queue in state.queues.items()} == {
+            "a:1": [0, 2, 4],
+            "b:2": [1, 3, 5],
         }
-        assert trials == {"a:1": 3, "b:2": 9}
-        # Chunks still partition the batch contiguously in index order —
-        # the snapshot backbone's monotonic-boundary requirement.
-        flat = [s.index for chunk in chunks for s in chunk]
-        assert flat == [s.index for s in specs]
-        # Each host's block is a contiguous run of chunk ids.
-        for ids in dealt.values():
-            assert ids == list(range(min(ids), max(ids) + 1))
-
-    def test_executor_reuse_adapts_and_stays_bit_exact(self):
-        specs = _specs(count=16)
-        serial = run_chunk(list(specs))
-        slow = WorkerServer(faults=WorkerFaults(slow_seconds=0.3))
-        fast = WorkerServer()
-        servers = [slow, fast]
-        threads = [
-            threading.Thread(target=s.serve_forever, daemon=True) for s in servers
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            telemetry = TelemetryCollector()
-            executor = ClusterExecutor(
-                [slow.address, fast.address],
-                chunk_size=None,
-                progress=telemetry,
-                heartbeat_interval=0,
-            )
-            first = executor.run(list(specs))
-            assert chaos.results_key(first) == chaos.results_key(serial)
-            # The straggler's latency is now known: the next plan skews
-            # trials toward the fast host.
-            chunks, dealt = executor._plan(specs)
-            assert dealt is not None
-            trials = {
-                host: sum(len(chunks[i]) for i in ids)
-                for host, ids in dealt.items()
-            }
-            assert trials.get(fast.address, 0) > trials.get(slow.address, 0)
-            second = executor.run(list(specs))
-            assert chaos.results_key(second) == chaos.results_key(serial)
-        finally:
-            for server in servers:
-                server.close()
-            for thread in threads:
-                thread.join(timeout=5.0)
 
 
 @pytest.mark.slow
@@ -378,7 +346,7 @@ class TestRandomPlanSoak:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_plans_preserve_results(self, seed):
-        plan = FaultPlan.random(seed, hosts=3, events=2)
+        plan = FaultPlan.random(seed, hosts=3, events=2, chunks=4)
         specs = _specs()
         serial = run_chunk(list(specs))
         run = chaos.run_chaos(plan, specs, hosts=3)

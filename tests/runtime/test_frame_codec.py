@@ -13,6 +13,7 @@ transports both speak this codec.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -110,6 +111,13 @@ class TestRoundTrip:
 
     def test_nan_round_trips(self):
         assert math.isnan(wire.recv(ScriptedSocket(framed({"v": math.nan})))["v"])
+
+    @given(message=messages)
+    def test_raw_json_values_encode_like_plain_ones(self, message):
+        plain = wire.encode(message)
+        assert plain[HEADER.size :] == json.dumps(message, separators=(",", ":")).encode()
+        raw = {key: wire.RawJSON.of(value) for key, value in message.items()}
+        assert wire.encode(raw) == plain
 
 
 class TestTruncation:

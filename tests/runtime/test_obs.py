@@ -9,8 +9,8 @@ Covers the guarantees docs/OBSERVABILITY.md makes:
 * the documented event table lists exactly the schema's events;
 * a journal written by a real run validates against the schema;
 * the Chrome trace-event export is stable (golden file) and well-formed;
-* a mid-batch pool failure keeps completed chunks and re-runs only the
-  remainder serially.
+* when every pool worker dies mid-batch, completed chunks are kept and
+  only the remainder re-runs in the driver.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import json
 import math
 import pathlib
 import re
-from concurrent.futures import Future
 
 import pytest
 
-import repro.runtime.pool as pool_module
+import chaos
+import repro.runtime.cluster as cluster_module
 from repro.analysis.obs_report import (
     journal_to_trace,
     read_journal,
@@ -287,81 +287,61 @@ class TestTraceExport:
                 assert name in text
 
 
-class _FailingFakePool:
-    """Synchronous stand-in for ProcessPoolExecutor failing one chunk."""
-
-    fail_chunk: int = -1
-    submitted: int = 0
-
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        index = type(self).submitted
-        type(self).submitted += 1
-        future = Future()
-        if index == type(self).fail_chunk:
-            future.set_exception(OSError("injected chunk failure"))
-        else:
-            future.set_result(fn(*args))
-        return future
-
-
 class TestPartialFallback:
-    @pytest.fixture()
-    def fake_pool(self, monkeypatch):
-        _FailingFakePool.submitted = 0
-        _FailingFakePool.fail_chunk = 3
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _FailingFakePool)
-        # Deterministic completion order (futures are already resolved).
-        monkeypatch.setattr(pool_module, "as_completed", lambda fs: iter(list(fs)))
-        return _FailingFakePool
+    """Both pool workers die mid-batch: the driver finishes the rest."""
 
-    def test_completed_chunks_survive_pool_failure(self, fake_pool, monkeypatch):
+    def _run(self, monkeypatch, progress):
         executed = []
-        real_run_chunk = pool_module.run_chunk
+        real_run_chunk = cluster_module.run_chunk
 
         def counting_run_chunk(specs, snapshot=None):
             executed.append([s.index for s in specs])
             return real_run_chunk(specs, snapshot)
 
-        monkeypatch.setattr(pool_module, "run_chunk", counting_run_chunk)
-        specs = _static_specs(12)
-        telemetry = TelemetryCollector()
-        results = TrialExecutor(
-            workers=4, chunk_size=3, progress=telemetry
-        ).run(specs)
-        # Chunks 0-2 ran in the pool, chunk 3 failed, and only its three
-        # trials were re-run serially — nothing was computed twice.
-        assert sorted(i for batch in executed for i in batch) == list(range(1, 13))
-        assert executed[-1] == [10, 11, 12]
+        # Forked workers inherit the wrapper, but append to their own copy
+        # of ``executed``: the list here only sees chunks the driver ran.
+        monkeypatch.setattr(cluster_module, "run_chunk", counting_run_chunk)
+        results = TrialExecutor(workers=2, chunk_size=3, progress=progress).run(
+            _static_specs(12)
+        )
+        return results, executed
+
+    def test_completed_chunks_survive_pool_failure(self, monkeypatch):
+        killer = chaos.WorkerKiller()
+        results, executed = self._run(monkeypatch, killer)
+        assert len(killer.killed) == 2
 
         serial = TrialExecutor(workers=1).run(_static_specs(12))
         assert _results_key(results) == _results_key(serial)
 
-        [event] = [e for e in telemetry.events if e["event"] == "partial_fallback"]
-        assert event["done"] == 9
+        [event] = [e for e in killer.events if e["event"] == "partial_fallback"]
+        kinds = [e["event"] for e in killer.events]
+        by_workers = [
+            e["results"]
+            for e in killer.events[: kinds.index("partial_fallback")]
+            if e["event"] == "chunk_done"
+        ]
+        kept = sorted(r.index for part in by_workers for r in part)
+        # Chunks the workers completed were kept; the driver re-ran only
+        # the rest — nothing was computed twice.
+        assert kept and not set(kept) & {i for chunk in executed for i in chunk}
+        assert sorted(kept + [i for chunk in executed for i in chunk]) == list(range(1, 13))
+        assert event["done"] == len(kept)
         assert event["total"] == 12
-        assert "re-running 3 of 12" in event["reason"]
+        assert f"re-running {12 - len(kept)} of 12" in event["reason"]
         # The whole-batch fallback did not fire.
-        assert telemetry.count("fallback") == 0
+        assert killer.count("fallback") == 0
 
-    def test_partial_fallback_journaled(self, fake_pool, tmp_path):
+    def test_partial_fallback_journaled(self, monkeypatch, tmp_path):
         journal = tmp_path / "run.jsonl"
+        killer = chaos.WorkerKiller()
         with JournalReporter(journal) as reporter:
-            TrialExecutor(workers=4, chunk_size=3, progress=reporter).run(
-                _static_specs(12)
-            )
+            self._run(monkeypatch, TeeProgress([killer, reporter]))
         events = read_journal(journal)
         assert validate_journal(events) == []
         [event] = [e for e in events if e["event"] == "partial_fallback"]
-        assert event["done"] == 9 and event["total"] == 12
+        assert event["total"] == 12
+        assert {"worker_connect", "worker_lost"} <= {e["event"] for e in events}
 
 
 class _ReadOnlyStore:

@@ -117,3 +117,20 @@ class TestStoreRoundTrip:
         path = store.save(config, self._results())
         path.write_text("{not json")
         assert store.load(config) is None
+
+    def test_oversize_artifact_is_miss(self, tmp_path, monkeypatch):
+        store = ResultsStore(tmp_path)
+        config = {"kind": "x"}
+        snapshot_config = {"snapshot": 1, "index": 3}
+        paths = [
+            store.save(config, self._results()),
+            store.save_snapshot(snapshot_config, {"nodes": list(range(50))}),
+        ]
+        assert store.load(config) is not None
+        assert store.load_snapshot(snapshot_config) is not None
+        # The bound is checked on the file size, before anything parses.
+        limit = min(path.stat().st_size for path in paths) - 1
+        monkeypatch.setattr(ResultsStore, "MAX_ARTIFACT_BYTES", limit)
+        monkeypatch.setattr(json, "load", None)
+        assert store.load(config) is None
+        assert store.load_snapshot(snapshot_config) is None

@@ -230,3 +230,16 @@ class TestGC:
         report = store.gc(max_age_seconds=60, max_total_bytes=0)
         assert len(report.evicted) == 3
         assert report.kept == 0
+
+
+def test_header_fallback_skips_oversize_artifact(tmp_path, monkeypatch):
+    """The full-parse fallback of the header read is bounded too."""
+    store = ResultsStore(tmp_path)
+    config = {"legacy": 1, "payload": ["x" * 1000] * 100}
+    legacy = {"schema": SCHEMA_VERSION, "config": config, "meta": {"tag": "old"}}
+    path = store.path_for(config)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(legacy))
+    assert [info.tag for info in store.artifacts()] == ["old"]
+    monkeypatch.setattr(ResultsStore, "MAX_ARTIFACT_BYTES", path.stat().st_size - 1)
+    assert store.artifacts() == []
