@@ -34,7 +34,7 @@ from typing import Callable
 from repro.analysis.ascii_chart import render_figure, render_table
 from repro.analysis.curves import FigureResult, TableResult
 from repro.experiments.config import resolve_scale
-from repro.runtime import RuntimeOptions, detect_git_revision, supports_runtime
+from repro.runtime import RuntimeOptions, detect_git_revision
 
 #: Benchmarks default to the small preset unless the user overrides.
 SCALE = os.environ.get("REPRO_SCALE", "small")
@@ -54,7 +54,7 @@ GRAPH_BACKEND = os.environ.get("REPRO_GRAPH_BACKEND", "dict")
 def _experiment_kwargs(fn: Callable) -> dict:
     kwargs = {"scale": SCALE, "seed": SEED}
     runtime_needed = CACHE_DIR or WORKERS > 1 or GRAPH_BACKEND != "dict"
-    if runtime_needed and supports_runtime(fn):
+    if runtime_needed:
         # the tag labels store artifacts for `repro-experiment cache ls`
         kwargs["runtime"] = RuntimeOptions.create(
             workers=WORKERS,

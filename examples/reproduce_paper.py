@@ -30,7 +30,7 @@ import time
 from repro.analysis.ascii_chart import render_figure, render_table
 from repro.analysis.curves import FigureResult
 from repro.experiments import FIGURES, TABLES
-from repro.runtime import JournalReporter, RuntimeOptions, supports_runtime
+from repro.runtime import JournalReporter, RuntimeOptions
 
 
 def main() -> None:
@@ -67,10 +67,7 @@ def run_catalog(args: argparse.Namespace, runtime: RuntimeOptions) -> None:
 
     for name, fn in list(FIGURES.items()) + list(TABLES.items()):
         t0 = time.perf_counter()
-        kwargs = {"scale": args.scale, "seed": args.seed}
-        if supports_runtime(fn):
-            kwargs["runtime"] = runtime
-        result = fn(**kwargs)
+        result = fn(scale=args.scale, seed=args.seed, runtime=runtime)
         elapsed = time.perf_counter() - t0
         if isinstance(result, FigureResult):
             print(render_figure(result))

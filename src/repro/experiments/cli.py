@@ -109,7 +109,6 @@ from ..runtime import (
     TeeProgress,
     WorkerServer,
     parse_hosts,
-    supports_runtime,
 )
 from ..runtime.trends import (
     DEFAULT_CHECK_METRICS,
@@ -762,11 +761,9 @@ def _runtime_options(
 
 def _run_one(name: str, args, journal: Optional[JournalReporter] = None) -> object:
     fn = FIGURES.get(name) or TABLES.get(name)
-    kwargs = {"scale": args.scale, "seed": args.seed}
-    if supports_runtime(fn):
-        kwargs["runtime"] = _runtime_options(args, tag=name, journal=journal)
+    runtime = _runtime_options(args, tag=name, journal=journal)
     start = time.perf_counter()
-    result = fn(**kwargs)
+    result = fn(scale=args.scale, seed=args.seed, runtime=runtime)
     elapsed = time.perf_counter() - start
     if not args.quiet:
         if isinstance(result, FigureResult):

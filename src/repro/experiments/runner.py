@@ -10,24 +10,18 @@ experiment is expressed as a batch of picklable
 serially or over a worker pool and (optionally) serves from its
 content-addressed results store.  Callers pick the execution policy via the
 ``runtime`` argument (:class:`~repro.runtime.RuntimeOptions`); ``None``
-means serial and uncached, the historical behaviour.
-
-The overlay/estimator arguments accept either declarative specs
-(:class:`~repro.runtime.OverlaySpec` / :class:`~repro.runtime.EstimatorSpec`
-— portable, parallelizable, cacheable) or live objects (an
-:class:`~repro.overlay.graph.OverlayGraph`, a factory closure), which run
-serially in-process.
+means serial and uncached, the historical behaviour.  Overlays and
+estimators are declarative specs (:class:`~repro.runtime.OverlaySpec` /
+:class:`~repro.runtime.EstimatorSpec`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..churn.models import ChurnTrace
-from ..overlay.builders import heterogeneous_random, scale_free
-from ..overlay.graph import OverlayGraph
 from ..runtime import (
     EstimatorSpec,
     OverlaySpec,
@@ -39,51 +33,26 @@ from ..runtime import (
 )
 from ..sim.metrics import EstimateSeries
 from ..sim.rng import RngHub
-from ..core.base import SizeEstimator
 from .config import ExperimentConfig
 
 __all__ = [
-    "build_overlay",
-    "build_scale_free_overlay",
     "overlay_spec",
     "static_probe_series",
-    "dynamic_probe_series",
     "aggregation_convergence",
     "aggregation_dynamic",
 ]
 
-EstimatorFactory = Callable[[OverlayGraph, RngHub], SizeEstimator]
-#: Anything the series runners accept as "the overlay".
-OverlayLike = Union[OverlayGraph, OverlaySpec]
-#: Anything the series runners accept as "the estimator".
-EstimatorLike = Union[EstimatorFactory, EstimatorSpec]
-
-
-def build_overlay(cfg: ExperimentConfig, n: int, hub: RngHub) -> OverlayGraph:
-    """The paper's standard heterogeneous random overlay at size ``n``."""
-    return heterogeneous_random(
-        n,
-        max_degree=cfg.max_degree,
-        min_degree=cfg.min_degree,
-        rng=hub.stream("overlay"),
-    )
-
 
 def overlay_spec(cfg: ExperimentConfig, n: int) -> OverlaySpec:
-    """Declarative (portable) form of :func:`build_overlay`."""
+    """The paper's standard heterogeneous random overlay at size ``n``."""
     return OverlaySpec.heterogeneous(
         n, max_degree=cfg.max_degree, min_degree=cfg.min_degree
     )
 
 
-def build_scale_free_overlay(n: int, hub: RngHub, m: int = 3) -> OverlayGraph:
-    """The Fig 7/8 Barabási–Albert overlay (min degree 3)."""
-    return scale_free(n, m=m, rng=hub.stream("overlay.sf"))
-
-
 def static_probe_series(
-    factory: EstimatorLike,
-    graph: OverlayLike,
+    factory: EstimatorSpec,
+    graph: OverlaySpec,
     count: int,
     hub: RngHub,
     label: str = "",
@@ -115,47 +84,8 @@ def static_probe_series(
     return series_from_results(run_trials(specs, runtime=runtime), name=label)
 
 
-def dynamic_probe_series(
-    factory: EstimatorLike,
-    graph: OverlayLike,
-    trace: ChurnTrace,
-    count: int,
-    hub: RngHub,
-    label: str = "",
-    time_per_estimation: float = 1.0,
-    max_degree: int = 10,
-    runtime: Optional[RuntimeOptions] = None,
-) -> EstimateSeries:
-    """Probe-style estimations interleaved with churn (Figs 9-14).
-
-    Before estimation ``i`` the churn trace is advanced to time
-    ``i·time_per_estimation`` (the paper's probes run "perpetually in order
-    to track size variations").  Estimations that fail because the overlay
-    degraded under the probe (e.g. the walk got stuck) are recorded as NaN
-    rather than aborting the series — a real monitor would simply miss that
-    sample.
-    """
-    params = {
-        "trace": trace_to_payload(trace),
-        "time_per_estimation": float(time_per_estimation),
-        "max_degree": int(max_degree),
-    }
-    specs = [
-        TrialSpec(
-            "dynamic_probe",
-            hub.seed,
-            i,
-            overlay=graph,
-            estimator=factory,
-            params=params,
-        )
-        for i in range(1, count + 1)
-    ]
-    return series_from_results(run_trials(specs, runtime=runtime), name=label)
-
-
 def aggregation_convergence(
-    graph: OverlayLike,
+    graph: OverlaySpec,
     rounds: int,
     hub: RngHub,
     runs: int = 3,

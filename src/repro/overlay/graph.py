@@ -488,7 +488,7 @@ class OverlayGraph:
         Under churn this turns the per-step conversion from O(n + m)
         Python iteration into O(changed) — the difference between the
         array backend amortizing or losing its kernel win (see
-        ``docs/KERNELS.md`` and BENCH_KERNELS.json).
+        ``docs/KERNELS.md`` and perfbench's ``fig11_sc_100k_serial`` workload).
         """
         if self._array is None:
             from .arraygraph import ArrayOverlayGraph

@@ -30,7 +30,6 @@ from .api import (
     batch_config,
     run_trials,
     series_from_results,
-    supports_runtime,
     sweep,
 )
 from .cluster import (
@@ -184,7 +183,6 @@ __all__ = [
     "series_from_results",
     "snapshot_config",
     "summarize_results",
-    "supports_runtime",
     "sweep",
     "trace_from_payload",
     "trace_to_payload",

@@ -9,7 +9,6 @@ parameter grid, one cached batch per grid point.
 
 from __future__ import annotations
 
-import inspect
 import os
 import pathlib
 import time
@@ -39,22 +38,8 @@ __all__ = [
     "batch_config",
     "run_trials",
     "series_from_results",
-    "supports_runtime",
     "sweep",
 ]
-
-
-def supports_runtime(fn: Callable) -> bool:
-    """True when ``fn`` accepts a ``runtime=`` keyword.
-
-    Experiments grown before this subsystem (tables, fig7) don't take the
-    parameter; every entry point that threads :class:`RuntimeOptions` into
-    the figure registry goes through this single probe.
-    """
-    try:
-        return "runtime" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
 
 
 @dataclass(frozen=True)
@@ -214,19 +199,20 @@ def run_trials(
         # never shadow reference results.
         specs = apply_graph_backend(specs, runtime.graph_backend)
 
-    portable = all(spec.portable for spec in specs)
-    config = batch_config(specs) if portable else None
+    config = batch_config(specs)
     if not isinstance(progress, NullProgress):
         # Spec identity for journals: which logical experiment the coming
         # events (including a possible cache hit) belong to.  Computed only
         # when someone is listening — the hashes cost a canonical-JSON pass.
-        address = (
-            {"key": content_key(config), "group": group_key(config)} if config is not None else {}
-        )
         progress.emit(
-            "batch_meta", kind=specs[0].kind, trials=len(specs), tag=tag or specs[0].kind, **address
+            "batch_meta",
+            kind=specs[0].kind,
+            trials=len(specs),
+            tag=tag or specs[0].kind,
+            key=content_key(config),
+            group=group_key(config),
         )
-    if store is not None and config is not None and not force:
+    if store is not None and not force:
         cached = store.load(config)
         if cached is not None:
             progress.emit("cache_hit", trials=len(cached))
@@ -251,7 +237,7 @@ def run_trials(
     started = time.perf_counter()
     results = executor.run(specs)
     elapsed = time.perf_counter() - started
-    if store is not None and config is not None:
+    if store is not None:
         # Header provenance for the trend tracker: which code computed the
         # batch, its logical-experiment group, and a scalar metric summary
         # (quality/messages from the results, runtime measured here — the

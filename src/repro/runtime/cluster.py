@@ -718,6 +718,9 @@ class _RunState:
     def __init__(self, chunks: Sequence[Sequence[TrialSpec]], hosts: Sequence[str]) -> None:
         self.cond = threading.Condition()
         self.chunks = chunks
+        # Wire form of every chunk, built before any dispatch so a spec
+        # that cannot be encoded (non-JSON params) fails the batch at once.
+        self.configs = [[spec.as_config() for spec in chunk] for chunk in chunks]
         self.total_trials = sum(len(chunk) for chunk in chunks)
         self.queues: Dict[str, deque] = {host: deque() for host in hosts}
         for i in range(len(chunks)):
@@ -832,20 +835,9 @@ class ClusterExecutor:
         specs = list(specs)
         if not specs:
             return []
-        if not all(spec.portable for spec in specs):
-            # Live objects cannot travel over the wire; same downgrade as
-            # the pool, so cluster options are always safe to pass.
-            self.progress.emit(
-                "fallback",
-                reason="batch holds live objects that cannot be shipped to cluster workers",
-            )
-            from .pool import TrialExecutor  # the pool module builds on this one
-
-            return TrialExecutor(progress=self.progress).run(specs)
-
+        state = _RunState(plan_chunks(specs, len(self.hosts), self.chunk_size), self.hosts)
         started = time.perf_counter()
         self.progress.emit("batch_start", total=len(specs), workers=len(self.hosts))
-        state = _RunState(plan_chunks(specs, len(self.hosts), self.chunk_size), self.hosts)
         threads = [
             threading.Thread(
                 target=self._serve_host,
@@ -1052,7 +1044,7 @@ class ClusterExecutor:
                         {
                             "type": "chunk",
                             "chunk": chunk_id,
-                            "specs": [spec.as_config() for spec in state.chunks[chunk_id]],
+                            "specs": state.configs[chunk_id],
                             "snapshot": state.payloads[chunk_id],
                         }
                     )

@@ -16,9 +16,6 @@ and publishes each chunk's boundary state while earlier chunks run, so
 a chunk resumes mid-scenario instead of replaying the churn prefix from
 t=0 (``docs/SNAPSHOTS.md``).  Results are merged in ``(index, stream)``
 order, bit-identical to the serial run whichever worker finished first.
-
-Batches holding live objects (graphs, closures) cannot be shipped to a
-worker process; they run serially after reporting a ``fallback`` event.
 """
 
 from __future__ import annotations
@@ -71,12 +68,7 @@ class TrialExecutor:
         specs = list(specs)
         if not specs:
             return []
-        if self.workers > 1 and not all(spec.portable for spec in specs):
-            self.progress.emit(
-                "fallback",
-                reason="batch holds live objects that cannot be shipped to workers",
-            )
-        elif self.workers > 1:
+        if self.workers > 1:
             chunks = plan_chunks(specs, self.workers, self.chunk_size)
             if len(chunks) > 1:
                 # No heartbeats: the kernel closes a dead local worker's

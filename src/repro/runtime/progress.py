@@ -62,6 +62,8 @@ EVENT_FIELDS: Dict[str, Event] = {
     "batch_start": Event(("batch", "total", "workers"), _running),
     "progress": Event(("done", "total"), "{done}/{total} trials done"),
     "cache_hit": Event(("trials",), "cache hit: {trials} trials loaded from store", "cache hit"),
+    # Written only by older versions, which ran live-object batches
+    # serially; kept so their journals still validate.
     "fallback": Event(("reason",), "falling back to serial execution: {reason}",
                       "serial fallback", counter=("runtime", "serial fallbacks")),
     "partial_fallback": Event(("done", "total", "reason"), _partial, "partial fallback",

@@ -1,9 +1,9 @@
 """Replay-state snapshotting: O(horizon) churn replay across chunks.
 
-The churn-replay trial kinds (``dynamic_probe``, ``multi_probe``,
-``repair_replay``) share one evolving scenario — an overlay mutated by a
-churn schedule, possibly with repair and a monitoring protocol riding on
-it — that every trial of the batch observes at its own index.  A chunk of
+The churn-replay trial kinds (``multi_probe``, ``repair_replay``) share
+one evolving scenario — an overlay mutated by a churn schedule, possibly
+with repair and a monitoring protocol riding on it — that every trial of
+the batch observes at its own index.  A chunk of
 such trials historically replayed the scenario *from t=0* up to its last
 index, which makes the total replay work quadratic in the horizon once a
 batch is split into chunks.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..churn.models import ChurnEvent, ChurnTrace
 from ..churn.scheduler import ChurnScheduler
@@ -65,6 +65,8 @@ __all__ = [
     "SnapshotBackbone",
     "replay_state_for",
     "snapshot_config",
+    "trace_from_payload",
+    "trace_to_payload",
 ]
 
 #: Bump when snapshot payload layout or replay semantics change; mixed into
@@ -73,26 +75,29 @@ __all__ = [
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def _fresh_trace(payload: Any) -> ChurnTrace:
-    """An unconsumed :class:`ChurnTrace` from a spec's ``params["trace"]``."""
-    if isinstance(payload, ChurnTrace):
-        return ChurnTrace(iter(payload))
+def trace_to_payload(trace: ChurnTrace) -> List[Dict[str, float]]:
+    """Flatten a trace into a list of plain event dicts (JSON/pickle safe).
+
+    Only non-default fields are emitted so payloads hash stably.
+    """
+    payload: List[Dict[str, float]] = []
+    for ev in trace:
+        item: Dict[str, float] = {"time": float(ev.time)}
+        if ev.joins:
+            item["joins"] = int(ev.joins)
+        if ev.leaves:
+            item["leaves"] = int(ev.leaves)
+        if ev.frac_joins:
+            item["frac_joins"] = float(ev.frac_joins)
+        if ev.frac_leaves:
+            item["frac_leaves"] = float(ev.frac_leaves)
+        payload.append(item)
+    return payload
+
+
+def trace_from_payload(payload: Sequence[Mapping[str, float]]) -> ChurnTrace:
+    """Rebuild a fresh (unconsumed) :class:`ChurnTrace` from a payload."""
     return ChurnTrace(ChurnEvent(**item) for item in payload)
-
-
-def _scenario_graph(spec) -> OverlayGraph:
-    """The scenario's overlay: freshly built from a declarative spec, or a
-    live graph taken as-is (the in-process fallback for non-portable
-    specs, which never cross a process boundary)."""
-    overlay = spec.overlay
-    if isinstance(overlay, OverlayGraph):
-        return overlay
-    if overlay is None or not hasattr(overlay, "build"):
-        raise TypeError(
-            f"trial kind {spec.kind!r} needs an overlay, got {overlay!r}"
-        )
-    seed = spec.hub_seed if spec.overlay_seed is None else spec.overlay_seed
-    return overlay.build(RngHub(seed))
 
 
 class ProbeReplayState:
@@ -140,10 +145,10 @@ class ProbeReplayState:
         """
         p = spec.params
         hub = RngHub(spec.hub_seed)
-        graph = _scenario_graph(spec)
+        graph = spec.build_overlay()
         scheduler = ChurnScheduler(
             graph,
-            _fresh_trace(p["trace"]),
+            trace_from_payload(p["trace"]),
             rng=hub.stream("churn"),
             max_degree=int(p.get("max_degree", 10)),
         )
@@ -187,7 +192,7 @@ class ProbeReplayState:
         hub = RngHub(spec.hub_seed)
         scheduler = ChurnScheduler.restore(
             payload["scheduler"],
-            _fresh_trace(p["trace"]),
+            trace_from_payload(p["trace"]),
             max_degree=int(p.get("max_degree", 10)),
         )
         return cls(
@@ -253,10 +258,10 @@ class RepairReplayState:
         """Build the scenario at round 0 from a trial spec."""
         p = spec.params
         hub = RngHub(spec.hub_seed)
-        graph = _scenario_graph(spec)
+        graph = spec.build_overlay()
         scheduler = ChurnScheduler(
             graph,
-            _fresh_trace(p["trace"]),
+            trace_from_payload(p["trace"]),
             rng=hub.stream("churn"),
             max_degree=int(p.get("max_degree", 10)),
         )
@@ -308,7 +313,7 @@ class RepairReplayState:
         p = spec.params
         scheduler = ChurnScheduler.restore(
             payload["scheduler"],
-            _fresh_trace(p["trace"]),
+            trace_from_payload(p["trace"]),
             max_degree=int(p.get("max_degree", 10)),
         )
         graph = scheduler.graph
@@ -343,7 +348,6 @@ def replay_state_for(kind: str):
 #: shared scenario to hand off (``agg_dynamic`` runs one independent
 #: scenario per trial) or no churn at all (the static/fresh kinds).
 SNAPSHOT_KINDS: Dict[str, Any] = {
-    "dynamic_probe": ProbeReplayState,
     "multi_probe": ProbeReplayState,
     "repair_replay": RepairReplayState,
 }

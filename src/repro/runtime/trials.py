@@ -17,22 +17,15 @@ the scenario from a hand-off snapshot when the executor supplies one
 t=0 (churn draws from its own named stream, so replaying events without
 estimating reproduces the serial graph state exactly — the prefix-replay
 fallback for a batch run as one chunk and for boundaries no snapshot covers).
-
-For backwards compatibility the ``overlay``/``estimator`` slots also accept
-live objects (an :class:`~repro.overlay.graph.OverlayGraph`, a factory
-closure).  Such specs are *not portable*: they cannot be shipped to workers
-or hashed into a store key, so the executor runs them serially in-process
-as one chunk — the graceful-fallback path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..churn.models import ChurnEvent, ChurnTrace
 from ..churn.scheduler import ChurnScheduler
 from ..core import kernels as _kernels
 from ..core.aggregation import AggregationMonitor, AggregationProtocol
@@ -54,7 +47,13 @@ from ..overlay.views import degree_histogram, degree_stats, powerlaw_exponent
 from ..sim.rng import RngHub, derive_seed
 from ..sim.rounds import RoundDriver
 from .obs import chunk_profiler, phase
-from .snapshots import SNAPSHOT_KINDS, ProbeReplayState, RepairReplayState
+from .snapshots import (
+    SNAPSHOT_KINDS,
+    ProbeReplayState,
+    RepairReplayState,
+    trace_from_payload,
+    trace_to_payload,
+)
 
 __all__ = [
     "EstimatorSpec",
@@ -80,42 +79,6 @@ __all__ = [
 # Kernel work inside estimators surfaces as the ``kernel`` phase of chunk
 # profiles; the hook keeps :mod:`repro.core.kernels` runtime-agnostic.
 _kernels.set_phase_recorder(phase)
-
-
-# ----------------------------------------------------------------------
-# Churn-trace payloads (JSON-able mirror of ChurnTrace)
-# ----------------------------------------------------------------------
-
-
-def trace_to_payload(trace: ChurnTrace) -> List[Dict[str, float]]:
-    """Flatten a trace into a list of plain event dicts (JSON/pickle safe).
-
-    Only non-default fields are emitted so payloads hash stably.
-    """
-    payload: List[Dict[str, float]] = []
-    for ev in trace:
-        item: Dict[str, float] = {"time": float(ev.time)}
-        if ev.joins:
-            item["joins"] = int(ev.joins)
-        if ev.leaves:
-            item["leaves"] = int(ev.leaves)
-        if ev.frac_joins:
-            item["frac_joins"] = float(ev.frac_joins)
-        if ev.frac_leaves:
-            item["frac_leaves"] = float(ev.frac_leaves)
-        payload.append(item)
-    return payload
-
-
-def trace_from_payload(payload: Sequence[Mapping[str, float]]) -> ChurnTrace:
-    """Rebuild a fresh (unconsumed) :class:`ChurnTrace` from a payload."""
-    return ChurnTrace(ChurnEvent(**item) for item in payload)
-
-
-def _as_trace(value: Union[ChurnTrace, Sequence[Mapping[str, float]]]) -> ChurnTrace:
-    if isinstance(value, ChurnTrace):
-        return value
-    return trace_from_payload(value)
 
 
 # ----------------------------------------------------------------------
@@ -401,10 +364,6 @@ class EstimatorSpec:
 # TrialSpec / TrialResult
 # ----------------------------------------------------------------------
 
-OverlayLike = Union[OverlaySpec, OverlayGraph, None]
-EstimatorLike = Union[EstimatorSpec, Callable, None]
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     """One independent trial as a (config, seed, index) unit.
@@ -421,9 +380,10 @@ class TrialSpec:
         probe kinds, 0-based run number for aggregation kinds — whatever
         the serial code historically used, so RNG lineage is preserved).
     overlay / estimator:
-        Declarative specs (portable) or live objects (in-process only).
+        Declarative specs; anything else raises :class:`TypeError`.
     params:
-        Kind-specific extras (churn-trace payload, horizon, rounds, …).
+        Kind-specific JSON-able extras (churn-trace payload, horizon,
+        rounds, …); :meth:`as_config` rejects anything else.
     stream:
         Sub-stream id for kinds that run several estimation streams over
         one churning overlay (Figs 9-14).
@@ -436,30 +396,39 @@ class TrialSpec:
     kind: str
     hub_seed: int
     index: int
-    overlay: OverlayLike = None
-    estimator: EstimatorLike = None
+    overlay: Optional[OverlaySpec] = None
+    estimator: Optional[EstimatorSpec] = None
     params: Dict[str, Any] = field(default_factory=dict)
     stream: int = 0
     overlay_seed: Optional[int] = None
 
-    @property
-    def portable(self) -> bool:
-        """True when the spec can be shipped to a worker and content-hashed."""
+    def __post_init__(self) -> None:
         if self.overlay is not None and not isinstance(self.overlay, OverlaySpec):
-            return False
+            raise TypeError(f"overlay must be an OverlaySpec, got {self.overlay!r}")
         if self.estimator is not None and not isinstance(
             self.estimator, EstimatorSpec
         ):
-            return False
-        return _jsonable(self.params)
+            raise TypeError(
+                f"estimator must be an EstimatorSpec, got {self.estimator!r}"
+            )
+
+    @property
+    def overlay_hub_seed(self) -> int:
+        """Seed of the hub the overlay is built from: ``overlay_seed`` or ``hub_seed``."""
+        return self.hub_seed if self.overlay_seed is None else self.overlay_seed
+
+    def build_overlay(self) -> OverlayGraph:
+        """Materialize the overlay from its own hub (:attr:`overlay_hub_seed`)."""
+        if self.overlay is None:
+            raise TypeError(f"trial kind {self.kind!r} needs an overlay")
+        return self.overlay.build(RngHub(self.overlay_hub_seed))
 
     def as_config(self) -> Dict[str, Any]:
-        """Canonical per-trial configuration (raises on live objects)."""
-        if not self.portable:
+        """Canonical per-trial configuration (raises on non-JSON ``params``)."""
+        if not _jsonable(self.params):
             raise TypeError(
-                "spec holds live objects (graph/closure/trace) and cannot "
-                "be content-addressed; use OverlaySpec/EstimatorSpec and "
-                "JSON-able params"
+                "trial params must be JSON-able to be content-addressed and "
+                "shipped to workers (a churn trace travels as trace_to_payload)"
             )
         return {
             "kind": self.kind,
@@ -507,8 +476,7 @@ def apply_graph_backend(
     when :attr:`~repro.runtime.api.RuntimeOptions.graph_backend` is set:
     estimator specs of :data:`BACKEND_KINDS` get the backend injected into
     their params (see :meth:`EstimatorSpec.with_backend` for the
-    content-address rules), everything else passes through unchanged —
-    including live-object specs, which are not portable anyway.
+    content-address rules), everything else passes through unchanged.
     """
     if backend not in _kernels.GRAPH_BACKENDS:
         raise ValueError(
@@ -516,7 +484,7 @@ def apply_graph_backend(
         )
     out: List[TrialSpec] = []
     for spec in specs:
-        if isinstance(spec.estimator, EstimatorSpec):
+        if spec.estimator is not None:
             pinned = spec.estimator.with_backend(backend)
             if pinned is not spec.estimator:
                 spec = replace(spec, estimator=pinned)
@@ -585,9 +553,7 @@ class TrialResult:
 
 #: Kinds whose chunk runner mutates the overlay (churn): they must build a
 #: fresh graph per chunk and must never share a memoized instance.
-_MUTATING_KINDS = frozenset(
-    {"dynamic_probe", "multi_probe", "agg_dynamic", "repair_replay"}
-)
+_MUTATING_KINDS = frozenset({"multi_probe", "agg_dynamic", "repair_replay"})
 
 #: Per-process memo of the last few spec-built overlays.  Static kinds only
 #: read the graph, and spec builds are deterministic, so sharing one
@@ -598,32 +564,25 @@ _GRAPH_CACHE_LIMIT = 4
 
 
 def _chunk_graph(spec: TrialSpec) -> OverlayGraph:
-    """The chunk's overlay: built from the spec, or the live graph as-is."""
-    if isinstance(spec.overlay, OverlaySpec):
-        seed = spec.hub_seed if spec.overlay_seed is None else spec.overlay_seed
-        if spec.kind in _MUTATING_KINDS:
-            with phase("boot"):
-                return spec.overlay.build(RngHub(seed))
-        key = f"{seed}:{sorted(spec.overlay.as_config()['params'].items())}:{spec.overlay.builder}"
-        graph = _GRAPH_CACHE.get(key)
-        if graph is None:
-            with phase("boot"):
-                graph = spec.overlay.build(RngHub(seed))
-            while len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-                _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-            _GRAPH_CACHE[key] = graph
-        return graph
-    if isinstance(spec.overlay, OverlayGraph):
-        return spec.overlay
-    raise TypeError(f"trial kind {spec.kind!r} needs an overlay, got {spec.overlay!r}")
+    """The chunk's overlay, shared across chunks unless the kind mutates it."""
+    if spec.kind in _MUTATING_KINDS:
+        with phase("boot"):
+            return spec.build_overlay()
+    key = f"{spec.overlay_hub_seed}:{sorted(spec.overlay.params.items())}:{spec.overlay.builder}"
+    graph = _GRAPH_CACHE.get(key)
+    if graph is None:
+        with phase("boot"):
+            graph = spec.build_overlay()
+        while len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
+            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
+        _GRAPH_CACHE[key] = graph
+    return graph
 
 
 def _make_estimator(spec: TrialSpec, graph: OverlayGraph, hub: RngHub):
-    if isinstance(spec.estimator, EstimatorSpec):
-        return spec.estimator.build(graph, hub)
-    if callable(spec.estimator):
-        return spec.estimator(graph, hub)
-    raise TypeError(f"trial kind {spec.kind!r} needs an estimator")
+    if spec.estimator is None:
+        raise TypeError(f"trial kind {spec.kind!r} needs an estimator")
+    return spec.estimator.build(graph, hub)
 
 
 def _run_static_probe(specs: Sequence[TrialSpec]) -> List[TrialResult]:
@@ -677,8 +636,6 @@ def _fresh_results(
     out: List[TrialResult] = []
     for spec in specs:
         name = spec.params["fresh_name"]
-        if not isinstance(spec.estimator, EstimatorSpec):
-            raise TypeError(f"{spec.kind} trials require an EstimatorSpec")
         rng = np.random.default_rng(
             derive_seed(spec.hub_seed, f"{name}#{spec.index}")
         )
@@ -765,30 +722,6 @@ def _replay_probe(
             break
         out.extend(estimate_at(i, state.graph, state.hub))
     return out
-
-
-def _run_dynamic_probe(
-    specs: Sequence[TrialSpec],
-    snapshot: Optional[Mapping[str, Any]] = None,
-) -> List[TrialResult]:
-    """Probe-style estimations interleaved with churn (single stream)."""
-    wanted = {spec.index: spec for spec in specs}
-
-    def estimate_at(i: int, graph: OverlayGraph, hub: RngHub) -> List[TrialResult]:
-        """One estimation at step ``i`` when the batch wants one there."""
-        spec = wanted.get(i)
-        if spec is None:
-            return []
-        try:
-            with phase("estimation", (i, spec.stream)):
-                value = float(
-                    _make_estimator(spec, graph, hub.child(f"run{i}")).estimate().value
-                )
-        except EstimatorError:
-            value = float("nan")
-        return [TrialResult(index=i, value=value, true_size=float(graph.size))]
-
-    return _replay_probe(specs, estimate_at, snapshot)
 
 
 def _run_multi_probe(
@@ -887,14 +820,12 @@ def _run_agg_dynamic(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     for spec in specs:
         p = spec.params
         run_hub = hub.child(f"aggdyn{spec.index}")
-        if not isinstance(spec.overlay, OverlaySpec):
-            raise TypeError("agg_dynamic trials require an OverlaySpec")
         with phase("boot"):
             graph = spec.overlay.build(run_hub)
         driver = RoundDriver()
         scheduler = ChurnScheduler(
             graph,
-            _as_trace(p["trace"]),
+            trace_from_payload(p["trace"]),
             rng=run_hub.stream("churn"),
             max_degree=int(p.get("max_degree", 10)),
         )
@@ -1152,7 +1083,6 @@ TRIAL_KINDS: Dict[str, Callable[..., List[TrialResult]]] = {
     "fresh_probe": _run_fresh_probe,
     "idspace_probe": _run_idspace_probe,
     "delay_probe": _run_delay_probe,
-    "dynamic_probe": _run_dynamic_probe,
     "multi_probe": _run_multi_probe,
     "repair_replay": _run_repair_replay,
     "agg_convergence": _run_agg_convergence,

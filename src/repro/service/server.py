@@ -14,7 +14,7 @@ Two transports share one :class:`~repro.service.core.EstimationService`:
   of the Mercury RPC work cited in PAPERS.md.
 
 :class:`ServiceClient` is the thin client for both transports (used by
-``examples/churn_monitoring.py`` and ``scripts/bench_service.py``); it
+``examples/churn_monitoring.py`` and perfbench's service workload); it
 only needs the stdlib.  Endpoint semantics are documented in
 ``docs/SERVICE.md``.
 """

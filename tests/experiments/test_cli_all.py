@@ -3,6 +3,8 @@ the experiment registries."""
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analysis.curves import FigureResult, TableResult
@@ -13,13 +15,13 @@ from repro.experiments import cli
 def stub_experiments(monkeypatch):
     calls = []
 
-    def fake_figure(scale=None, seed=None):
+    def fake_figure(scale=None, seed=None, runtime=None):
         calls.append(("figX", scale, seed))
         fig = FigureResult("figX", "stub", "x", "y")
         fig.add("c", [1, 2], [3, 4])
         return fig
 
-    def fake_table(scale=None, seed=None):
+    def fake_table(scale=None, seed=None, runtime=None):
         calls.append(("tabX", scale, seed))
         t = TableResult("tabX", "stub", columns=["a"])
         t.add_row(a=1)
@@ -46,3 +48,10 @@ class TestAllTarget:
         assert cli.main(argv) == 0
         assert (tmp_path / "figX.csv").exists()
         assert (tmp_path / "tabX.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIGURES) + sorted(cli.TABLES))
+def test_every_experiment_accepts_runtime(name):
+    """``run`` passes ``runtime=`` to every registry entry unconditionally."""
+    fn = cli.FIGURES.get(name) or cli.TABLES.get(name)
+    assert "runtime" in inspect.signature(fn).parameters

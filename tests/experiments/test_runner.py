@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 
 from repro.churn.models import shrinking_trace
-from repro.core.sample_collide import SampleCollideEstimator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     aggregation_convergence,
     aggregation_dynamic,
-    build_overlay,
-    build_scale_free_overlay,
-    dynamic_probe_series,
+    overlay_spec,
     static_probe_series,
+)
+from repro.runtime import (
+    EstimatorSpec,
+    OverlaySpec,
+    TrialSpec,
+    run_trials,
+    series_from_results,
+    trace_to_payload,
 )
 from repro.sim.rng import RngHub
 
@@ -24,20 +29,36 @@ def _cfg(tiny_scale):
     return ExperimentConfig(seed=77, scale=tiny_scale)
 
 
+def _churn_series(overlay, estimator, trace, count, hub):
+    """Probe estimations interleaved with churn, one ``multi_probe`` stream."""
+    params = {
+        "trace": trace_to_payload(trace),
+        "time_per_estimation": 1.0,
+        "max_degree": 10,
+    }
+    specs = [
+        TrialSpec(
+            "multi_probe", hub.seed, i, overlay=overlay, estimator=estimator, params=params
+        )
+        for i in range(1, count + 1)
+    ]
+    return series_from_results(run_trials(specs))
+
+
 class TestBuilders:
     def test_build_overlay_size(self, tiny_scale):
         cfg = _cfg(tiny_scale)
-        g = build_overlay(cfg, 300, RngHub(1))
+        g = overlay_spec(cfg, 300).build(RngHub(1))
         assert g.size == 300
 
     def test_build_overlay_deterministic(self, tiny_scale):
         cfg = _cfg(tiny_scale)
-        a = build_overlay(cfg, 200, RngHub(3))
-        b = build_overlay(cfg, 200, RngHub(3))
+        a = overlay_spec(cfg, 200).build(RngHub(3))
+        b = overlay_spec(cfg, 200).build(RngHub(3))
         assert sorted(a.edges()) == sorted(b.edges())
 
     def test_scale_free_overlay(self):
-        g = build_scale_free_overlay(300, RngHub(2), m=3)
+        g = OverlaySpec.scale_free(300, m=3).build(RngHub(2))
         assert g.size == 300
 
 
@@ -45,12 +66,8 @@ class TestStaticSeries:
     def test_counts_and_truth(self, tiny_scale):
         cfg = _cfg(tiny_scale)
         hub = RngHub(5)
-        g = build_overlay(cfg, 400, hub)
         series = static_probe_series(
-            lambda graph, h: SampleCollideEstimator(graph, l=20, rng=h.stream("sc")),
-            g,
-            10,
-            hub,
+            EstimatorSpec.sample_collide(l=20), overlay_spec(cfg, 400), 10, hub
         )
         assert len(series) == 10
         assert (series.true_sizes == 400).all()
@@ -59,12 +76,8 @@ class TestStaticSeries:
     def test_runs_are_independent(self, tiny_scale):
         cfg = _cfg(tiny_scale)
         hub = RngHub(6)
-        g = build_overlay(cfg, 400, hub)
         series = static_probe_series(
-            lambda graph, h: SampleCollideEstimator(graph, l=20, rng=h.stream("sc")),
-            g,
-            8,
-            hub,
+            EstimatorSpec.sample_collide(l=20), overlay_spec(cfg, 400), 8, hub
         )
         assert len(set(series.estimates)) > 1
 
@@ -73,14 +86,9 @@ class TestDynamicSeries:
     def test_true_size_follows_trace(self, tiny_scale):
         cfg = _cfg(tiny_scale)
         hub = RngHub(7)
-        g = build_overlay(cfg, 400, hub)
         trace = shrinking_trace(400, 0.5, start=1, end=10, steps=10)
-        series = dynamic_probe_series(
-            lambda graph, h: SampleCollideEstimator(graph, l=20, rng=h.stream("sc")),
-            g,
-            trace,
-            10,
-            hub,
+        series = _churn_series(
+            overlay_spec(cfg, 400), EstimatorSpec.sample_collide(l=20), trace, 10, hub
         )
         assert series.true_sizes[-1] == 200
         assert len(series) == 10
@@ -88,14 +96,9 @@ class TestDynamicSeries:
     def test_estimates_track_truth_loosely(self, tiny_scale):
         cfg = _cfg(tiny_scale)
         hub = RngHub(8)
-        g = build_overlay(cfg, 400, hub)
         trace = shrinking_trace(400, 0.5, start=1, end=20, steps=20)
-        series = dynamic_probe_series(
-            lambda graph, h: SampleCollideEstimator(graph, l=50, rng=h.stream("sc")),
-            g,
-            trace,
-            20,
-            hub,
+        series = _churn_series(
+            overlay_spec(cfg, 400), EstimatorSpec.sample_collide(l=50), trace, 20, hub
         )
         ratio = np.nanmean(series.estimates / series.true_sizes)
         assert ratio == pytest.approx(1.0, abs=0.35)
@@ -105,8 +108,7 @@ class TestAggregationRunners:
     def test_convergence_curves(self, tiny_scale):
         cfg = _cfg(tiny_scale)
         hub = RngHub(9)
-        g = build_overlay(cfg, 300, hub)
-        curves = aggregation_convergence(g, 30, hub, runs=2)
+        curves = aggregation_convergence(overlay_spec(cfg, 300), 30, hub, runs=2)
         assert len(curves) == 2
         for xs, qs in curves:
             assert xs.shape == qs.shape == (30,)

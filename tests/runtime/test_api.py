@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.runtime.api as api
+from repro.churn.models import shrinking_trace
 from repro.runtime import (
     EstimatorSpec,
     OverlaySpec,
@@ -64,6 +67,23 @@ class TestBatchConfig:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             batch_config([])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_json_params_fail_before_dispatch(self, workers):
+        """A live trace in ``params`` fails the batch before anything runs,
+        at any worker count — no serial fallback, no worker started."""
+        trace = shrinking_trace(250, 0.5, steps=3)
+        specs = [
+            replace(spec, kind="multi_probe", params={"trace": trace})
+            for spec in _specs(4)
+        ]
+        telemetry = TelemetryCollector()
+        runtime = RuntimeOptions(workers=workers, chunk_size=2, progress=telemetry)
+        with pytest.raises(TypeError, match="JSON-able"):
+            run_trials(specs, runtime=runtime)
+        assert telemetry.count("fallback") == 0
+        assert telemetry.count("worker_connect") == 0
+        assert telemetry.events == []
 
 
 class TestCaching:

@@ -30,7 +30,6 @@ from repro.analysis.obs_report import (
     validate_journal,
 )
 from repro.churn.models import shrinking_trace
-from repro.overlay.builders import heterogeneous_random
 from repro.runtime import (
     ClusterExecutor,
     EstimatorSpec,
@@ -54,7 +53,6 @@ from repro.runtime.cluster import (
     send_message,
 )
 from repro.runtime.wire import MAX_FRAME_BYTES, FrameError
-from repro.sim.rng import RngHub
 
 
 def assert_results_equal(a, b):
@@ -473,38 +471,26 @@ class TestScheduling:
         assert_results_equal(serial, results)
         assert telemetry.count("steal") >= 1
 
-    def test_non_portable_batch_runs_serially(self):
-        """Live graphs can't cross sockets: explicit fallback, same results."""
-        graph = heterogeneous_random(80, rng=RngHub(3).stream("overlay"))
+    def test_non_json_params_fail_before_dispatch(self):
+        """A spec the wire cannot carry fails the batch before any host
+        is contacted — no serial fallback."""
         specs = [
             TrialSpec(
                 "static_probe",
                 3,
                 i,
-                overlay=graph,
+                overlay=OverlaySpec.heterogeneous(80),
                 estimator=EstimatorSpec.sample_collide(l=10),
+                params={"graph": object()},
             )
             for i in range(1, 6)
         ]
-        serial = run_chunk(
-            [
-                TrialSpec(
-                    "static_probe",
-                    3,
-                    i,
-                    overlay=graph.copy(),
-                    estimator=EstimatorSpec.sample_collide(l=10),
-                )
-                for i in range(1, 6)
-            ]
-        )
         telemetry = TelemetryCollector()
         # Hosts never contacted: no servers are running behind them.
         executor = ClusterExecutor(["127.0.0.1:1", "127.0.0.1:2"], progress=telemetry)
-        results = executor.run(specs)
-        assert_results_equal(serial, results)
-        assert telemetry.count("fallback") == 1
-        assert telemetry.count("worker_connect") == 0
+        with pytest.raises(TypeError, match="JSON-able"):
+            executor.run(specs)
+        assert telemetry.events == []
 
     def test_empty_batch(self):
         assert ClusterExecutor(["127.0.0.1:1"]).run([]) == []

@@ -361,7 +361,7 @@ class TestSnapshotSaveError:
 
         trace = shrinking_trace(120, 0.5, start=1.0, end=4.0, steps=3)
         return TrialSpec(
-            "dynamic_probe",
+            "multi_probe",
             17,
             1,
             overlay=OverlaySpec.heterogeneous(120),

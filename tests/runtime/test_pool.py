@@ -1,4 +1,4 @@
-"""Tests for the trial executor: chunking, parallel dispatch, fallbacks."""
+"""Tests for the trial executor: chunking, parallel dispatch, worker loss."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ import pytest
 import chaos
 import repro.runtime.cluster as cluster_module
 from repro.churn.models import shrinking_trace
-from repro.core.sample_collide import SampleCollideEstimator
 from repro.runtime import trace_to_payload
 from repro.runtime.cluster import chunk_specs, plan_chunks
 from repro.runtime.pool import TrialExecutor
 from repro.runtime.snapshots import SnapshotBackbone
 from repro.runtime.progress import TelemetryCollector
 from repro.runtime.trials import EstimatorSpec, OverlaySpec, TrialSpec, run_chunk
-from repro.sim.rng import RngHub
 
 
 def _static_specs(count=8, seed=31, n=300, l=20):
@@ -60,23 +58,6 @@ class TestExecution:
     def test_results_sorted_by_index(self):
         results = TrialExecutor(workers=2, chunk_size=3).run(_static_specs(9))
         assert [r.index for r in results] == list(range(1, 10))
-
-    def test_live_objects_fall_back_to_serial(self):
-        """Closure-based specs cannot be shipped to workers; the executor
-        must degrade gracefully instead of crashing."""
-        graph = OverlaySpec.heterogeneous(300).build(RngHub(31))
-        factory = lambda g, h: SampleCollideEstimator(g, l=20, rng=h.stream("sc"))
-        live = [
-            TrialSpec("static_probe", 31, i, overlay=graph, estimator=factory)
-            for i in range(1, 11)
-        ]
-        telemetry = TelemetryCollector()
-        results = TrialExecutor(workers=4, progress=telemetry).run(live)
-        assert telemetry.count("fallback") == 1
-        spec_results = TrialExecutor(workers=1).run(_static_specs(10))
-        assert [(r.index, r.value) for r in results] == [
-            (r.index, r.value) for r in spec_results
-        ]
 
     def test_progress_callbacks_fire(self):
         telemetry = TelemetryCollector()
@@ -144,7 +125,7 @@ class TestPipelineFailure:
         trace = shrinking_trace(300, 0.5, start=1.0, end=8.0, steps=7)
         specs = [
             TrialSpec(
-                "dynamic_probe",
+                "multi_probe",
                 17,
                 i,
                 overlay=OverlaySpec.heterogeneous(300),

@@ -296,7 +296,7 @@ class TestReplayStates:
         n = 50
         trace = shrinking_trace(n, 1.0, start=1.0, end=5.0, steps=5)
         spec = TrialSpec(
-            "dynamic_probe",
+            "multi_probe",
             7,
             1,
             overlay=OverlaySpec.heterogeneous(n),
@@ -325,7 +325,7 @@ class TestReplayStates:
         assert snapshot_config(a, 5) != snapshot_config(a, 6)
 
     def test_registry_covers_replay_kinds(self):
-        assert set(SNAPSHOT_KINDS) == {"dynamic_probe", "multi_probe", "repair_replay"}
+        assert set(SNAPSHOT_KINDS) == {"multi_probe", "repair_replay"}
         assert SNAPSHOT_KINDS["repair_replay"] is RepairReplayState
 
 
@@ -346,14 +346,6 @@ def _trace_payload(n=N, count=COUNT):
 
 def _specs(kind):
     overlay = OverlaySpec.heterogeneous(N)
-    if kind == "dynamic_probe":
-        params = {"trace": _trace_payload(), "time_per_estimation": 1.0, "max_degree": 10}
-        return [
-            TrialSpec(kind, 17, i, overlay=overlay,
-                      estimator=EstimatorSpec.sample_collide(l=20, timer=5.0),
-                      params=params)
-            for i in range(1, COUNT + 1)
-        ]
     if kind == "multi_probe":
         params = {"trace": _trace_payload(), "time_per_estimation": 1.0, "max_degree": 10}
         return [
@@ -386,7 +378,7 @@ def _specs(kind):
     ]
 
 
-ALL_REPLAY_KINDS = ["dynamic_probe", "multi_probe", "repair_replay", "agg_dynamic"]
+ALL_REPLAY_KINDS = ["multi_probe", "repair_replay", "agg_dynamic"]
 
 
 class TestChunkBoundaryBitIdentity:

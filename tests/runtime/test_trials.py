@@ -1,4 +1,4 @@
-"""Tests for the trial model: specs, payloads, portability, chunk runners."""
+"""Tests for the trial model: specs, payloads, chunk runners."""
 
 from __future__ import annotations
 
@@ -32,14 +32,14 @@ class TestTracePayload:
         payload = trace_to_payload(shrinking_trace(100, 0.3, steps=5))
         assert all(isinstance(item, dict) for item in payload)
         spec = TrialSpec(
-            "dynamic_probe",
+            "multi_probe",
             1,
             1,
             overlay=OverlaySpec.heterogeneous(100),
             estimator=EstimatorSpec.sample_collide(l=10),
             params={"trace": payload},
         )
-        assert spec.portable
+        assert spec.as_config()["params"] == {"trace": payload}
 
 
 class TestSpecs:
@@ -63,25 +63,35 @@ class TestSpecs:
             overlay=OverlaySpec.heterogeneous(200),
             estimator=EstimatorSpec.sample_collide(l=20),
         )
-        assert spec.portable
+        assert TrialSpec.from_config(spec.as_config()) == spec
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
-    def test_live_objects_not_portable(self):
+    def test_live_objects_rejected(self):
         graph = OverlaySpec.heterogeneous(50).build(RngHub(1))
-        assert not TrialSpec("static_probe", 1, 1, overlay=graph).portable
-        assert not TrialSpec(
-            "static_probe",
+        with pytest.raises(TypeError, match="OverlaySpec"):
+            TrialSpec("static_probe", 1, 1, overlay=graph)
+        with pytest.raises(TypeError, match="EstimatorSpec"):
+            TrialSpec(
+                "static_probe",
+                1,
+                1,
+                overlay=OverlaySpec.heterogeneous(50),
+                estimator=lambda g, h: None,
+            )
+
+    def test_as_config_rejects_live_objects(self):
+        trace = shrinking_trace(50, 0.5, steps=3)
+        spec = TrialSpec(
+            "multi_probe",
             1,
             1,
             overlay=OverlaySpec.heterogeneous(50),
-            estimator=lambda g, h: None,
-        ).portable
-
-    def test_as_config_rejects_live_objects(self):
-        graph = OverlaySpec.heterogeneous(50).build(RngHub(1))
-        with pytest.raises(TypeError):
-            TrialSpec("static_probe", 1, 1, overlay=graph).as_config()
+            estimator=EstimatorSpec.sample_collide(l=10),
+            params={"trace": trace},
+        )
+        with pytest.raises(TypeError, match="JSON-able"):
+            spec.as_config()
 
 
 class TestChunkRunners:
@@ -132,7 +142,7 @@ class TestChunkRunners:
         with pytest.raises(ValueError):
             run_chunk([TrialSpec("no_such_kind", 1, 1)])
 
-    def test_dynamic_probe_replay_determinism(self):
+    def test_multi_probe_replay_determinism(self):
         """Churn replay: estimating only a suffix of the indices yields the
         same values the full serial pass produces for those indices."""
         overlay = OverlaySpec.heterogeneous(400)
@@ -140,7 +150,7 @@ class TestChunkRunners:
         params = {"trace": trace, "time_per_estimation": 1.0, "max_degree": 10}
         est = EstimatorSpec.sample_collide(l=20)
         specs = [
-            TrialSpec("dynamic_probe", 7, i, overlay=overlay, estimator=est, params=params)
+            TrialSpec("multi_probe", 7, i, overlay=overlay, estimator=est, params=params)
             for i in range(1, 11)
         ]
         full = {r.index: (r.value, r.true_size) for r in run_chunk(specs)}
